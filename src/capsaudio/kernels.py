@@ -1,30 +1,24 @@
-"""Hot LSTM kernels: numba-jitted with a pure-numpy fallback.
+"""Hot LSTM kernels in numpy, float64.
 
 The per-timestep recurrence (forward) and backpropagation through time are
-the only Python-level loops in the training path, so they carry @njit. Set
-CAPSAUDIO_BACKEND=numpy to force the fallback; default is numba when the
-import succeeds. benchmarks/bench_kernels.py compares the two.
+the only Python-level loops in the training path. Both kernels hoist the
+input projection out of the time loop (one GEMM for all timesteps) and
+batch the weight-gradient GEMMs after the backward recurrence; only the
+recurrent h @ Wh products stay per-step. layers.lstm_seq looks both kernels
+up through this module at call time.
 
-All arrays are float64 and time-major: x is [T, B, I], outputs are
-[T, B, H]. Gate layout along the last axis is i, f, g, o (input, forget,
-cell candidate, output), stored post-activation for the backward pass.
-
-Both backends hoist the input projection out of the time loop (one GEMM for
-all timesteps) and batch the weight-gradient GEMMs after the backward
-recurrence; only the recurrent h @ Wh products stay per-step. The jitted
-bodies additionally fuse the elementwise gate math; the fallback uses
-vectorized numpy. The two agree to ~1e-15.
+All arrays are time-major: x is [T, B, I], outputs are [T, B, H]. Gate
+layout along the last axis is i, f, g, o (input, forget, cell candidate,
+output), stored post-activation for the backward pass.
 """
-
-from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
+# Not an option: the only implementation. perfbench/run.py reports it.
+ACTIVE_BACKEND = "numpy"
 
-def lstm_forward_numpy(x, Wx, Wh, b):
+
+def lstm_forward(x, Wx, Wh, b):
     T, B, I = x.shape
     H = Wh.shape[0]
     h = np.zeros((T, B, H))
@@ -51,7 +45,7 @@ def lstm_forward_numpy(x, Wx, Wh, b):
     return h, c, gates
 
 
-def lstm_backward_numpy(dh_out, x, Wx, Wh, h, c, gates):
+def lstm_backward(dh_out, x, Wx, Wh, h, c, gates):
     T, B, I = x.shape
     H = Wh.shape[0]
     dz_all = np.empty((T, B, 4 * H))
@@ -84,118 +78,3 @@ def lstm_backward_numpy(dh_out, x, Wx, Wh, h, c, gates):
                 @ dz_all[1:].reshape((T - 1) * B, 4 * H))
     db = dz_flat.sum(axis=0)
     return dx, dWx, dWh, db
-
-
-def _lstm_forward_fused(x, Wx, Wh, b):
-    T, B, I = x.shape
-    H = Wh.shape[0]
-    h = np.zeros((T, B, H))
-    c = np.zeros((T, B, H))
-    gates = np.zeros((T, B, 4 * H))
-    xw = np.dot(x.reshape(T * B, I), Wx).reshape(T, B, 4 * H)
-    for t in range(T):
-        z = xw[t] if t == 0 else xw[t] + np.dot(h[t - 1], Wh)
-        g_t = gates[t]
-        c_t = c[t]
-        h_t = h[t]
-        for n in range(B):
-            for j in range(H):
-                ig = 1.0 / (1.0 + math.exp(-(z[n, j] + b[j])))
-                fg = 1.0 / (1.0 + math.exp(-(z[n, H + j] + b[H + j])))
-                gg = math.tanh(z[n, 2 * H + j] + b[2 * H + j])
-                og = 1.0 / (1.0 + math.exp(-(z[n, 3 * H + j] + b[3 * H + j])))
-                cc = fg * (c[t - 1, n, j] if t > 0 else 0.0) + ig * gg
-                g_t[n, j] = ig
-                g_t[n, H + j] = fg
-                g_t[n, 2 * H + j] = gg
-                g_t[n, 3 * H + j] = og
-                c_t[n, j] = cc
-                h_t[n, j] = og * math.tanh(cc)
-    return h, c, gates
-
-
-def _lstm_backward_fused(dh_out, x, Wx, Wh, h, c, gates):
-    T, B, I = x.shape
-    H = Wh.shape[0]
-    dz_all = np.empty((T, B, 4 * H))
-    dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
-    WhT = np.ascontiguousarray(Wh.T)
-    for t in range(T - 1, -1, -1):
-        g_t = gates[t]
-        dz = dz_all[t]
-        for n in range(B):
-            for j in range(H):
-                ig = g_t[n, j]
-                fg = g_t[n, H + j]
-                gg = g_t[n, 2 * H + j]
-                og = g_t[n, 3 * H + j]
-                tc = math.tanh(c[t, n, j])
-                dh = dh_out[t, n, j] + dh_next[n, j]
-                dc = dh * og * (1.0 - tc * tc) + dc_next[n, j]
-                c_prev = c[t - 1, n, j] if t > 0 else 0.0
-                dz[n, j] = (dc * gg) * ig * (1.0 - ig)
-                dz[n, H + j] = (dc * c_prev) * fg * (1.0 - fg)
-                dz[n, 2 * H + j] = (dc * ig) * (1.0 - gg * gg)
-                dz[n, 3 * H + j] = (dh * tc) * og * (1.0 - og)
-                dc_next[n, j] = dc * fg
-        dh_tmp = np.dot(dz, WhT)
-        for n in range(B):
-            for j in range(H):
-                dh_next[n, j] = dh_tmp[n, j]
-    dz_flat = dz_all.reshape(T * B, 4 * H)
-    dx = np.dot(dz_flat, np.ascontiguousarray(Wx.T)).reshape(T, B, I)
-    dWx = np.dot(np.ascontiguousarray(x.reshape(T * B, I).T), dz_flat)
-    dWh = np.zeros(Wh.shape)
-    if T > 1:
-        dWh += np.dot(
-            np.ascontiguousarray(h[:T - 1].reshape((T - 1) * B, H).T),
-            np.ascontiguousarray(dz_all[1:].reshape((T - 1) * B, 4 * H)))
-    db = np.zeros(4 * H)
-    for r in range(T * B):
-        for k in range(4 * H):
-            db[k] += dz_flat[r, k]
-    return dx, dWx, dWh, db
-
-
-try:
-    from numba import njit
-
-    lstm_forward_numba = njit(cache=True)(_lstm_forward_fused)
-    lstm_backward_numba = njit(cache=True)(_lstm_backward_fused)
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    lstm_forward_numba = None
-    lstm_backward_numba = None
-    _HAVE_NUMBA = False
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("CAPSAUDIO_BACKEND", "").strip().lower()
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba" and not _HAVE_NUMBA:
-        raise ImportError("CAPSAUDIO_BACKEND=numba but numba is not importable")
-    if requested in ("", "numba"):
-        return "numba" if _HAVE_NUMBA else "numpy"
-    raise ValueError(f"unknown CAPSAUDIO_BACKEND value {requested!r}")
-
-
-ACTIVE_BACKEND = _select_backend()
-
-if ACTIVE_BACKEND == "numba":
-    lstm_forward = lstm_forward_numba
-    lstm_backward = lstm_backward_numba
-else:
-    lstm_forward = lstm_forward_numpy
-    lstm_backward = lstm_backward_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs (no-op for the numpy path)."""
-    x = np.zeros((2, 1, 3))
-    Wx = np.zeros((3, 8))
-    Wh = np.zeros((2, 8))
-    b = np.zeros(8)
-    h, c, gates = lstm_forward(x, Wx, Wh, b)
-    lstm_backward(np.zeros_like(h), x, Wx, Wh, h, c, gates)

@@ -163,31 +163,44 @@ class TrainedModel:
     class_names: list[str]
     scaler: ScalerParams | None = None
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        """Inference class scores [N, C], batched."""
-        chunks = [self.model.forward(X[i:i + EVAL_BATCH], training=False,
-                                     rng=None).scores.data
+    def _batched(self, X: np.ndarray, output: str) -> np.ndarray:
+        """One ForwardOutput field over X in chunks of EVAL_BATCH rows."""
+        chunks = [getattr(self.model.forward(X[i:i + EVAL_BATCH], training=False,
+                                             rng=None), output).data
                   for i in range(0, X.shape[0], EVAL_BATCH)]
         return np.concatenate(chunks, axis=0)
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        """Inference class scores [N, C], batched."""
+        return self._batched(X, "scores")
 
     def caps_vectors(self, X: np.ndarray) -> np.ndarray:
         """Capsule activity vectors [N, C, caps_dim] (caps model only)."""
-        chunks = [self.model.forward(X[i:i + EVAL_BATCH], training=False,
-                                     rng=None).caps.data
-                  for i in range(0, X.shape[0], EVAL_BATCH)]
-        return np.concatenate(chunks, axis=0)
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        out = {name: t.data for name, t in self.model.params().items()}
-        for name, arr in self.model.state().items():
-            out[f"state.{name}"] = arr
-        if self.scaler is not None:
-            out["scaler.min"] = self.scaler.minimum
-            out["scaler.max"] = self.scaler.maximum
-        return out
+        return self._batched(X, "caps")
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.cfg, self.blocks())
+        save_checkpoint(path, self.cfg, model_blocks(self.model, self.scaler))
+
+
+def model_blocks(model, scaler: ScalerParams | None = None) -> dict[str, np.ndarray]:
+    """Checkpoint blocks naming the model's parameters, its state ('state.')
+    and the scaler, if any. The arrays are the live ones, not copies."""
+    out = {name: t.data for name, t in model.params().items()}
+    for name, arr in model.state().items():
+        out[f"state.{name}"] = arr
+    if scaler is not None:
+        out["scaler.min"] = scaler.minimum
+        out["scaler.max"] = scaler.maximum
+    return out
+
+
+def load_blocks(model, blocks: dict[str, np.ndarray]) -> None:
+    """Set the model's parameters and state from blocks named as by
+    model_blocks; other blocks are ignored."""
+    model.set_params({name: Tensor(blocks[name], requires_grad=True)
+                      for name in model.params()})
+    model.set_state({k[len("state."):]: v for k, v in blocks.items()
+                     if k.startswith("state.")})
 
 
 def load_trained(path) -> TrainedModel:
@@ -197,10 +210,7 @@ def load_trained(path) -> TrainedModel:
     n_classes = (blocks["caps.W"].shape[1] if cfg.model == "caps"
                  else blocks["head.b"].shape[0])
     model = build_model(cfg, n_dims, n_classes, np.random.default_rng(0))
-    model.set_params({name: Tensor(blocks[name], requires_grad=True)
-                      for name in model.params()})
-    model.set_state({k[len("state."):]: v for k, v in blocks.items()
-                     if k.startswith("state.")})
+    load_blocks(model, blocks)
     scaler = None
     if "scaler.min" in blocks:
         scaler = ScalerParams(blocks["scaler.min"], blocks["scaler.max"])
@@ -218,17 +228,7 @@ def evaluate(trained: TrainedModel, ds: ArrayDataset) -> tuple[float, np.ndarray
 
 
 def _snapshot(model) -> dict[str, np.ndarray]:
-    snap = {name: t.data.copy() for name, t in model.params().items()}
-    for name, arr in model.state().items():
-        snap[f"state.{name}"] = arr.copy()
-    return snap
-
-
-def _restore(model, snap: dict[str, np.ndarray]) -> None:
-    model.set_params({name: Tensor(snap[name], requires_grad=True)
-                      for name in model.params()})
-    model.set_state({k[len("state."):]: v for k, v in snap.items()
-                     if k.startswith("state.")})
+    return {name: arr.copy() for name, arr in model_blocks(model).items()}
 
 
 def train(cfg: RunConfig, train_set: ArrayDataset,
@@ -289,7 +289,7 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
             best_snap = _snapshot(model)
             metrics.best_epoch = epoch
 
-    _restore(model, best_snap)
+    load_blocks(model, best_snap)
     _, metrics.confusion = evaluate(trained, test_set)
     return trained, metrics
 

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from capsaudio import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT-compile the LSTM kernels once so timed tests exclude compilation.
-    kernels.warmup()
-
 
 @pytest.fixture()
 def rng():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from capsaudio import kernels
 from capsaudio.autodiff import Tensor
 from capsaudio.errors import ConfigError, DegenerateBatch, InputTooShort, ShapeError
 from capsaudio.layers import AttentionPool, BatchNorm, BiLSTM, Dense, dropout, mean_pool
@@ -137,23 +136,6 @@ def test_forget_gate_bias_initialized_to_one(rng):
     for d in (net.fwd, net.bwd):
         np.testing.assert_array_equal(d.b.data[4:8], 1.0)
         np.testing.assert_array_equal(d.b.data[:4], 0.0)
-
-
-def test_kernel_backends_agree(rng):
-    if kernels.lstm_forward_numba is None:
-        pytest.skip("numba unavailable")
-    x = rng.normal(size=(6, 3, 4))
-    Wx = rng.normal(size=(4, 20))
-    Wh = rng.normal(size=(5, 20))
-    b = rng.normal(size=20)
-    h1, c1, g1 = kernels.lstm_forward_numpy(x, Wx, Wh, b)
-    h2, c2, g2 = kernels.lstm_forward_numba(x, Wx, Wh, b)
-    np.testing.assert_allclose(h1, h2, atol=1e-13)
-    dh = rng.normal(size=h1.shape)
-    out1 = kernels.lstm_backward_numpy(dh, x, Wx, Wh, h1, c1, g1)
-    out2 = kernels.lstm_backward_numba(dh, x, Wx, Wh, h2, c2, g2)
-    for a, b_ in zip(out1, out2):
-        np.testing.assert_allclose(a, b_, atol=1e-12)
 
 
 # --- dropout ----------------------------------------------------------------

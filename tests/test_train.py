@@ -6,9 +6,9 @@ from capsaudio.config import RunConfig
 from capsaudio.errors import ConfigError, DivergenceFault, InsufficientData, ShapeError
 from capsaudio.models import build_model
 from capsaudio.optim import Adam
-from capsaudio.train import (ArrayDataset, Metrics, accuracy, confusion_matrix,
-                             evaluate, pad_to, read_metrics_rows, train,
-                             write_metrics)
+from capsaudio.train import (EVAL_BATCH, ArrayDataset, Metrics, accuracy,
+                             confusion_matrix, evaluate, pad_to, read_metrics_rows,
+                             train, write_metrics)
 
 
 def separable_dataset(n_per_class=10, t_fix=6, n_dims=4, jitter=0.0, seed=0):
@@ -208,6 +208,21 @@ def test_best_epoch_selection():
     assert best == max(metrics.test_metric)
     # earliest epoch achieving the max is selected
     assert metrics.best_epoch == metrics.epochs[metrics.test_metric.index(best)]
+
+
+# --- batched inference --------------------------------------------------------
+
+def test_batched_inference_across_chunk_boundary():
+    ds = separable_dataset()
+    trained, _ = train(tiny_cfg(epochs=2), ds, ds)
+    X = np.random.default_rng(3).uniform(size=(EVAL_BATCH + 6, 6, 4))
+    scores = trained.scores(X)
+    caps = trained.caps_vectors(X)
+    assert scores.shape == (EVAL_BATCH + 6, 2)
+    np.testing.assert_allclose(scores, np.linalg.norm(caps, axis=-1), atol=1e-12)
+    tail = trained.model.forward(X[-6:], training=False, rng=None)
+    np.testing.assert_array_equal(scores[-6:], tail.scores.data)
+    np.testing.assert_array_equal(caps[-6:], tail.caps.data)
 
 
 # --- metrics file -------------------------------------------------------------
