@@ -94,18 +94,15 @@ def capsule_scatter(trained: TrainedModel,
     """
     if trained.scaler is None:
         raise ConfigError("checkpoint carries no feature scaler")
-    caps_w = trained.model.params().get("caps.W")
-    if caps_w is None:
-        raise ConfigError("capsule scatter needs a caps-model checkpoint")
-    n_classes = caps_w.data.shape[1]
-    if not 0 <= class_index < n_classes:
-        raise ConfigError(f"class index {class_index} not in checkpoint "
-                          f"(has {n_classes} classes)")
-
     X = np.stack([pad_to(apply_scaler(mfcc(clip, feature_cfg), trained.scaler).data,
                          trained.cfg.T_fix)
                   for clip, _ in clips_with_levels])
-    vectors = trained.caps_vectors(X)[:, class_index, :]
+    caps = trained.caps_vectors(X)  # raises ConfigError unless a caps model
+    n_classes = trained.model.caps.n_classes
+    if not 0 <= class_index < n_classes:
+        raise ConfigError(f"class index {class_index} not in checkpoint "
+                          f"(has {n_classes} classes)")
+    vectors = caps[:, class_index, :]
     levels = [lvl for _, lvl in clips_with_levels]
 
     n = vectors.shape[0]

@@ -300,17 +300,6 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
                     lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
-def tslice(a: Tensor, key) -> Tensor:
-    out = a.data[key]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        return (full,)
-
-    return apply_op("slice", (a,), out, backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     return apply_op("reshape", (a,), a.data.reshape(shape),
                     lambda g: (g.reshape(a.shape),))

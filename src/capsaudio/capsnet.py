@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
-from .layers import Dense, glorot
+from .layers import Dense, Module, glorot
 
 
 def squash(s: Tensor, axis: int = -1) -> Tensor:
@@ -24,7 +24,7 @@ def squash(s: Tensor, axis: int = -1) -> Tensor:
     return s * (n / (ad.square(n) + 1.0))
 
 
-class CapsuleLayer:
+class CapsuleLayer(Module):
     """Transforms primary capsules and routes them to class capsules."""
 
     def __init__(self, rng, n_primary: int, in_dim: int, n_classes: int,
@@ -40,9 +40,6 @@ class CapsuleLayer:
         self.n_classes = n_classes
         self.caps_dim = caps_dim
         self.routing_iters = routing_iters
-
-    def params(self):
-        return {"W": self.W}
 
     def __call__(self, u: Tensor, collect_couplings: list | None = None) -> Tensor:
         """Route primaries [B, P, in_dim] to class capsules [B, C, caps_dim].
@@ -103,7 +100,7 @@ def mae(a: Tensor, b: Tensor) -> Tensor:
     return ad.tmean(ad.absolute(a - b))
 
 
-class Decoder:
+class Decoder(Module):
     """Reconstructs the scaled feature matrix from masked class capsules."""
 
     def __init__(self, rng, n_classes: int, caps_dim: int, out_dim: int,
@@ -114,13 +111,6 @@ class Decoder:
         self.n_classes = n_classes
         self.caps_dim = caps_dim
         self.out_dim = out_dim
-
-    def params(self):
-        out = {}
-        for tag, layer in (("fc1", self.fc1), ("fc2", self.fc2), ("out", self.out)):
-            for k, v in layer.params().items():
-                out[f"{tag}.{k}"] = v
-        return out
 
     def __call__(self, caps: Tensor, targets: np.ndarray) -> Tensor:
         B = caps.data.shape[0]

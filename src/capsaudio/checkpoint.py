@@ -6,8 +6,10 @@ Layout (all little-endian):
 
 Each block: u16 name_len | name UTF-8 | u8 ndim | u32 dim... | f64 payload.
 Blocks cover trainable parameters, non-trainable state (prefix 'state.') and
-the fitted feature scaler ('scaler.min' / 'scaler.max'). Round-trips are
-bit-exact.
+the fitted feature scaler ('scaler.min' / 'scaler.max'). Parameter and state
+names follow layers.Module: the dotted attribute path of each Tensor
+(parameter) or ndarray (state) attribute, in assignment order, e.g.
+'lstm1.fwd.Wx' and 'state.bn.running_mean'. Round-trips are bit-exact.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .config import apply_overrides, load_config
 from .errors import CapsAudioError, ConfigError
 from .features import FeatureConfig
 from .manifest import load_manifest, materialize, synth_multilabel, save_manifest
-from .train import (evaluate, load_trained, make_dataset, run_grid,
+from .train import (evaluate, load_trained, make_dataset, metric_name, run_grid,
                     run_training, write_grid_table)
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -68,8 +68,7 @@ def _cmd_eval(args) -> int:
     mats = materialize(man, args.data, FeatureConfig(), cache_dir=args.features)
     ds = make_dataset(man, mats, man.class_names, trained.scaler, trained.cfg.T_fix)
     metric, _ = evaluate(trained, ds)
-    name = "accuracy" if trained.cfg.mode == "single" else "weighted_accuracy"
-    print(f"eval: {args.split} {name}={metric}")
+    print(f"eval: {args.split} {metric_name(trained.cfg.mode)}={metric}")
     return 0
 
 
@@ -87,9 +86,8 @@ def _cmd_grid(args) -> int:
     runner = functools.partial(_grid_metric, data_dir=args.data,
                                cache_dir=args.features)
     rows = run_grid(cfg, args.axis, seeds, runner, jobs=args.jobs)
-    metric_name = "accuracy" if cfg.mode == "single" else "weighted_accuracy"
     table = os.path.join(args.out, f"grid_{args.axis}.csv")
-    write_grid_table(table, args.axis, rows, metric_name)
+    write_grid_table(table, args.axis, rows, metric_name(cfg.mode))
     print(f"grid: {len(rows)} runs over {args.axis} -> {table}")
     return 0
 

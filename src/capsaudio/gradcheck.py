@@ -127,16 +127,6 @@ def _make_concat(rng):
     return parts, build
 
 
-def _make_slice(rng):
-    x = _normal(rng, (4, 5))
-
-    def build(ts):
-        return _weighted_sum(ad.tslice(ts[0], (slice(1, 3), slice(0, 4))),
-                             np.random.default_rng(9))
-
-    return [x], build
-
-
 def _make_reduce(op):
     def make(rng):
         x = _normal(rng, (2, 3, 4))
@@ -192,9 +182,7 @@ def _make_bilstm(rng):
 
     def build(ts):
         net = BiLSTM(np.random.default_rng(0), 2, 2)
-        for name, t in zip(names, ts[1:]):
-            tag, field = name.split(".")
-            setattr(getattr(net, tag), field, t)
+        net.set(dict(zip(names, ts[1:])))
         return _weighted_sum(net(ts[0]), np.random.default_rng(29))
 
     return arrays, build
@@ -267,11 +255,9 @@ def _make_decoder(rng):
     arrays = [caps] + [rng.normal(scale=0.6, size=dec.params()[n].shape) for n in names]
 
     def build(ts):
-        d = Decoder(np.random.default_rng(0), 2, 3, out_dim=5, hidden=(4, 6))
-        for name, t in zip(names, ts[1:]):
-            tag, field = name.split(".")
-            setattr(getattr(d, tag), field, t)
-        recon = d(ts[0], targets)
+        net = Decoder(np.random.default_rng(0), 2, 3, out_dim=5, hidden=(4, 6))
+        net.set(dict(zip(names, ts[1:])))
+        recon = net(ts[0], targets)
         return mae(recon, Tensor(recon_target))
 
     return arrays, build
@@ -293,7 +279,6 @@ CHECKS = {
     "clamp_min": _elementwise(lambda t: ad.clamp_min(t, 0.15), _away_from_zero),
     "softmax": _make_softmax,
     "concat": _make_concat,
-    "slice": _make_slice,
     "sum": _make_reduce(ad.tsum),
     "mean": _make_reduce(ad.tmean),
     "l2norm": _make_l2norm,
@@ -351,7 +336,7 @@ def full_model_check(trials: int = 3, seed: int = 0) -> float:
                           n_classes=2, caps_dim=2, routing_iters=2,
                           dropout_rate=0.0, use_decoder=True,
                           decoder_hidden=(3, 4))
-            m.set_params(dict(zip(names, ts[1:])))
+            m.set(dict(zip(names, ts[1:])))
             out = m.forward(ts[0], training=True, rng=None, targets=targets,
                             recon_target=recon_target)
             return out.loss

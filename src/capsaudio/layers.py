@@ -19,19 +19,51 @@ def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nda
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Dense:
+class Module:
+    """Base of every layer and model; names their arrays in one way.
+
+    Every ``Tensor`` attribute is a parameter and every ``np.ndarray``
+    attribute is state (BN running stats). Each is named by its dotted
+    attribute path (``lstm1.fwd.Wx``, ``bn.running_mean``) in assignment
+    order, recursing into ``Module`` attributes; other values (None, ints,
+    configs) are skipped. Checkpoints store state blocks under a ``state.``
+    prefix. Checkpoint block order, the optimizer's moment keys and
+    parameter digests all follow these names.
+    """
+
+    def _named(self, kind, prefix: str = ""):
+        for key, value in vars(self).items():
+            if isinstance(value, kind):
+                yield prefix + key, value
+            elif isinstance(value, Module):
+                yield from value._named(kind, f"{prefix}{key}.")
+
+    def params(self) -> dict[str, Tensor]:
+        return dict(self._named(Tensor))
+
+    def state(self) -> dict[str, np.ndarray]:
+        return dict(self._named(np.ndarray))
+
+    def set(self, named: dict) -> None:
+        """Replace attributes by dotted name, as named by params()/state()."""
+        for name, value in named.items():
+            *path, attr = name.split(".")
+            owner = self
+            for key in path:
+                owner = getattr(owner, key)
+            setattr(owner, attr, value)
+
+
+class Dense(Module):
     def __init__(self, rng, n_in: int, n_out: int):
         self.W = Tensor(glorot(rng, (n_in, n_out), n_in, n_out), requires_grad=True)
         self.b = Tensor(np.zeros(n_out), requires_grad=True)
-
-    def params(self):
-        return {"W": self.W, "b": self.b}
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.W) + self.b
 
 
-class BatchNorm:
+class BatchNorm(Module):
     """Normalizes each feature dim over (batch, time) jointly."""
 
     def __init__(self, n_dims: int):
@@ -39,12 +71,6 @@ class BatchNorm:
         self.beta = Tensor(np.zeros(n_dims), requires_grad=True)
         self.running_mean = np.zeros(n_dims)
         self.running_var = np.ones(n_dims)
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def state(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if x.data.ndim != 3:
@@ -81,7 +107,7 @@ def lstm_seq(x: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
     return ad.apply_op("lstm", (x, Wx, Wh, b), h, backward)
 
 
-class LSTMDirection:
+class LSTMDirection(Module):
     def __init__(self, rng, n_in: int, hidden: int):
         self.Wx = Tensor(glorot(rng, (n_in, 4 * hidden), n_in, 4 * hidden),
                          requires_grad=True)
@@ -92,24 +118,14 @@ class LSTMDirection:
         self.b = Tensor(b, requires_grad=True)
         self.hidden = hidden
 
-    def params(self):
-        return {"Wx": self.Wx, "Wh": self.Wh, "b": self.b}
 
-
-class BiLSTM:
+class BiLSTM(Module):
     """Bidirectional LSTM; outputs per-timestep [B, T, 2*hidden]."""
 
     def __init__(self, rng, n_in: int, hidden: int):
         self.fwd = LSTMDirection(rng, n_in, hidden)
         self.bwd = LSTMDirection(rng, n_in, hidden)
         self.hidden = hidden
-
-    def params(self):
-        out = {}
-        for tag, d in (("fwd", self.fwd), ("bwd", self.bwd)):
-            for k, v in d.params().items():
-                out[f"{tag}.{k}"] = v
-        return out
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 3:
@@ -135,15 +151,12 @@ def dropout(x: Tensor, rate: float, training: bool,
     return x * Tensor(mask)
 
 
-class AttentionPool:
+class AttentionPool(Module):
     """Additive attention over time: softmax(v . tanh(W h_t)) weights."""
 
     def __init__(self, rng, n_in: int, n_att: int):
         self.W = Tensor(glorot(rng, (n_in, n_att), n_in, n_att), requires_grad=True)
         self.v = Tensor(glorot(rng, (n_att, 1), n_att, 1), requires_grad=True)
-
-    def params(self):
-        return {"W": self.W, "v": self.v}
 
     def __call__(self, h: Tensor) -> Tensor:
         if h.data.ndim != 3:

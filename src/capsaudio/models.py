@@ -12,7 +12,7 @@ from .autodiff import Tensor
 from .capsnet import (CapsuleLayer, Decoder, MarginLossParams, decode_reconstruct,
                       length_layer, margin_loss, squash)
 from .errors import ShapeError
-from .layers import AttentionPool, BatchNorm, BiLSTM, Dense, dropout, mean_pool
+from .layers import AttentionPool, BatchNorm, BiLSTM, Dense, Module, dropout, mean_pool
 
 LOG_CLAMP = 1e-12
 
@@ -25,37 +25,7 @@ class ForwardOutput:
     recon: Tensor | None = None
 
 
-def _walk_set(obj, dotted: str, tensor: Tensor):
-    parts = dotted.split(".")
-    for p in parts[:-1]:
-        obj = getattr(obj, p)
-    setattr(obj, parts[-1], tensor)
-
-
-class _ModelBase:
-    def _layer_map(self) -> dict:
-        raise NotImplementedError
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        for prefix, layer in self._layer_map().items():
-            for k, v in layer.params().items():
-                out[f"{prefix}.{k}"] = v
-        return out
-
-    def set_params(self, named: dict[str, Tensor]) -> None:
-        for name, tensor in named.items():
-            _walk_set(self, name, tensor)
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {f"bn.{k}": v for k, v in self.bn.state().items()}
-
-    def set_state(self, named: dict[str, np.ndarray]) -> None:
-        self.bn.running_mean = named["bn.running_mean"].copy()
-        self.bn.running_var = named["bn.running_var"].copy()
-
-
-class CapsModel(_ModelBase):
+class CapsModel(Module):
     """BN -> BiLSTM x2 -> dropout -> (squash) -> capsule routing -> lengths.
 
     Each timestep's BiLSTM output vector is one primary capsule, so the
@@ -79,16 +49,8 @@ class CapsModel(_ModelBase):
         self.recon_weight = recon_weight
         self.margin = MarginLossParams(lam=lam)
 
-    def _layer_map(self):
-        layers = {"bn": self.bn, "lstm1": self.lstm1, "lstm2": self.lstm2,
-                  "caps": self.caps}
-        if self.decoder is not None:
-            layers["decoder"] = self.decoder
-        return layers
-
     def forward(self, x, training: bool, rng, targets: np.ndarray | None = None,
-                recon_target: np.ndarray | None = None,
-                collect_couplings: list | None = None) -> ForwardOutput:
+                recon_target: np.ndarray | None = None) -> ForwardOutput:
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.data.shape[1] != self.t_fix:
             raise ShapeError(f"expected {self.t_fix} frames, got {x.data.shape[1]}")
@@ -97,7 +59,7 @@ class CapsModel(_ModelBase):
         h = self.lstm2(h)
         h = dropout(h, self.dropout_rate, training, rng)
         u = squash(h, axis=-1)  # primary capsules, one per timestep
-        v = self.caps(u, collect_couplings)
+        v = self.caps(u)
         lengths = length_layer(v)
 
         loss = None
@@ -111,7 +73,7 @@ class CapsModel(_ModelBase):
         return ForwardOutput(scores=lengths, loss=loss, caps=v, recon=recon)
 
 
-class RecurrentBaseline(_ModelBase):
+class RecurrentBaseline(Module):
     """BN -> BiLSTM x2 -> pooling -> dense head.
 
     mode 'single' trains with softmax cross-entropy, 'multi' with per-class
@@ -123,18 +85,11 @@ class RecurrentBaseline(_ModelBase):
         self.bn = BatchNorm(n_dims)
         self.lstm1 = BiLSTM(rng, n_dims, hidden)
         self.lstm2 = BiLSTM(rng, 2 * hidden, hidden)
-        self.att = (AttentionPool(rng, 2 * hidden, hidden)
-                    if pooling == "att" else None)
+        att = AttentionPool(rng, 2 * hidden, hidden) if pooling == "att" else None
         self.head = Dense(rng, 2 * hidden, n_classes)
+        self.att = att  # drawn before head, named after it (checkpoint order)
         self.mode = mode
         self.pooling = pooling
-
-    def _layer_map(self):
-        layers = {"bn": self.bn, "lstm1": self.lstm1, "lstm2": self.lstm2,
-                  "head": self.head}
-        if self.att is not None:
-            layers["att"] = self.att
-        return layers
 
     def forward(self, x, training: bool, rng, targets: np.ndarray | None = None,
                 **_) -> ForwardOutput:

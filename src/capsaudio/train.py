@@ -121,6 +121,11 @@ class Metrics:
         return self.test_metric[self.epochs.index(self.best_epoch)]
 
 
+def metric_name(mode: str) -> str:
+    """The evaluation metric reported for a label mode."""
+    return "accuracy" if mode == "single" else "weighted_accuracy"
+
+
 _METRIC_NOTES = {
     "accuracy": "fraction of exactly correct predictions",
     "weighted_accuracy": "per-class binary accuracy averaged over classes and examples",
@@ -176,6 +181,9 @@ class TrainedModel:
 
     def caps_vectors(self, X: np.ndarray) -> np.ndarray:
         """Capsule activity vectors [N, C, caps_dim] (caps model only)."""
+        if self.cfg.model != "caps":
+            raise ConfigError(f"capsule vectors need model=caps, "
+                              f"got model={self.cfg.model}")
         return self._batched(X, "caps")
 
     def save(self, path) -> None:
@@ -197,10 +205,9 @@ def model_blocks(model, scaler: ScalerParams | None = None) -> dict[str, np.ndar
 def load_blocks(model, blocks: dict[str, np.ndarray]) -> None:
     """Set the model's parameters and state from blocks named as by
     model_blocks; other blocks are ignored."""
-    model.set_params({name: Tensor(blocks[name], requires_grad=True)
-                      for name in model.params()})
-    model.set_state({k[len("state."):]: v for k, v in blocks.items()
-                     if k.startswith("state.")})
+    model.set({name: Tensor(blocks[name], requires_grad=True)
+               for name in model.params()})
+    model.set({name: blocks[f"state.{name}"].copy() for name in model.state()})
 
 
 def load_trained(path) -> TrainedModel:
@@ -249,8 +256,7 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
     model = build_model(cfg, n_dims, n_classes, init_rng)
     opt = Adam(cfg.lr)
     trained = TrainedModel(model, cfg, train_set.class_names)
-    metric_name = "accuracy" if cfg.mode == "single" else "weighted_accuracy"
-    metrics = Metrics(metric_name)
+    metrics = Metrics(metric_name(cfg.mode))
 
     use_decoder = cfg.model == "caps" and cfg.use_decoder
     recon_all = train_set.X.reshape(len(train_set), -1) if use_decoder else None

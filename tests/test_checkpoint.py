@@ -5,7 +5,9 @@ from capsaudio.checkpoint import load_checkpoint, save_checkpoint
 from capsaudio.config import RunConfig
 from capsaudio.errors import FormatError
 from capsaudio.features import ScalerParams
-from capsaudio.train import evaluate, load_trained, train
+from capsaudio.layers import Module
+from capsaudio.models import build_model
+from capsaudio.train import evaluate, load_blocks, load_trained, model_blocks, train
 from test_train import separable_dataset, tiny_cfg
 
 
@@ -85,3 +87,65 @@ def test_save_load_save_is_stable(tmp_path):
     trained.save(tmp_path / "a.cpsn")
     load_trained(tmp_path / "a.cpsn").save(tmp_path / "b.cpsn")
     assert (tmp_path / "a.cpsn").read_bytes() == (tmp_path / "b.cpsn").read_bytes()
+
+
+# --- parameter naming ---------------------------------------------------------
+
+_LSTMS = [f"lstm{k}.{d}.{w}" for k in (1, 2) for d in ("fwd", "bwd")
+          for w in ("Wx", "Wh", "b")]
+
+
+@pytest.mark.parametrize("model, decoder, tail", [
+    ("caps", False, ["caps.W"]),
+    ("caps", True, ["caps.W", "decoder.fc1.W", "decoder.fc1.b", "decoder.fc2.W",
+                    "decoder.fc2.b", "decoder.out.W", "decoder.out.b"]),
+    ("lstm", False, ["head.W", "head.b"]),
+    ("att", False, ["head.W", "head.b", "att.W", "att.v"]),
+])
+def test_param_and_state_names_in_order(model, decoder, tail):
+    # These names and their order are the checkpoint block order, the Adam
+    # moment keys and the benchmark's parameter digest.
+    cfg = tiny_cfg(model=model, use_decoder=decoder)
+    net = build_model(cfg, 4, 2, np.random.default_rng(0))
+    assert list(net.params()) == ["bn.gamma", "bn.beta"] + _LSTMS + tail
+    assert list(net.state()) == ["bn.running_mean", "bn.running_var"]
+    assert list(model_blocks(net)) == (list(net.params())
+                                       + ["state.bn.running_mean", "state.bn.running_var"])
+
+
+def _attribute_names(module, prefix=""):
+    out = set()
+    for key, value in vars(module).items():
+        out.add(prefix + key)
+        if isinstance(value, Module):
+            out |= _attribute_names(value, f"{prefix}{key}.")
+    return out
+
+
+@pytest.mark.parametrize("model, decoder", [("caps", False), ("caps", True),
+                                            ("lstm", False), ("att", False)])
+def test_load_blocks_restores_another_seed_bit_exactly(model, decoder):
+    cfg = tiny_cfg(model=model, use_decoder=decoder)
+    source = build_model(cfg, 4, 2, np.random.default_rng(1))
+    source.bn.running_mean = np.random.default_rng(2).normal(size=4)
+    source.bn.running_var = np.random.default_rng(3).uniform(0.5, 2.0, size=4)
+    target = build_model(cfg, 4, 2, np.random.default_rng(0))
+    attributes = _attribute_names(target)
+    blocks = model_blocks(source)
+    blocks["state.stray"] = np.ones(3)  # not the model's: must not be set
+    load_blocks(target, blocks)
+    assert _attribute_names(target) == attributes
+    for name, t in source.params().items():
+        assert target.params()[name].data.tobytes() == t.data.tobytes()
+        assert target.params()[name].requires_grad
+    for name, arr in source.state().items():
+        assert target.state()[name].tobytes() == arr.tobytes()
+        assert target.state()[name] is not arr  # copied, not shared
+
+
+def test_load_blocks_missing_block_raises():
+    net = build_model(tiny_cfg(), 4, 2, np.random.default_rng(0))
+    blocks = model_blocks(net)
+    del blocks["state.bn.running_var"]
+    with pytest.raises(KeyError):
+        load_blocks(net, blocks)

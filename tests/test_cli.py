@@ -172,6 +172,16 @@ def test_transfer_verb(run_dir, tiny_data, tmp_path):
     assert read_cache(files[0]).n_dims == 60 + 2 * 4
 
 
+def test_transfer_on_baseline_is_config_error(tiny_data, tiny_cfg_file, tmp_path, capsys):
+    run = str(tmp_path / "lstm")
+    assert dispatch(["train", "--config", tiny_cfg_file, "--data", tiny_data,
+                     "--out", run, "--set", "model=lstm", "--set", "epochs=1"]) == 0
+    code = dispatch(["transfer", "--checkpoint", os.path.join(run, "checkpoint.cpsn"),
+                     "--data", tiny_data, "--out", str(tmp_path / "export")])
+    assert code == 3
+    assert "model=lstm" in capsys.readouterr().err
+
+
 def test_commands_do_not_mutate_inputs(tiny_data, run_dir):
     # dataset files untouched by the runs above
     man = open(os.path.join(tiny_data, "train.csv")).read()

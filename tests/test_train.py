@@ -225,6 +225,14 @@ def test_batched_inference_across_chunk_boundary():
     np.testing.assert_array_equal(caps[-6:], tail.caps.data)
 
 
+@pytest.mark.parametrize("model", ["lstm", "att"])
+def test_caps_vectors_on_baseline_names_model(model):
+    ds = separable_dataset()
+    trained, _ = train(tiny_cfg(model=model, epochs=1), ds, ds)
+    with pytest.raises(ConfigError, match=f"model={model}"):
+        trained.caps_vectors(ds.X)
+
+
 # --- metrics file -------------------------------------------------------------
 
 def test_metrics_file_format(tmp_path):
