@@ -249,32 +249,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op("matmul", (a, b), out, backward)
 
 
+def _spread(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+    """Broadcast a reduction's gradient back over the reduced axes.
+
+    The result is a read-only view; Graph.backward only adds it into .grad.
+    """
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return apply_op("sum", (a,), out, backward)
+    return apply_op("sum", (a,), out,
+                    lambda g: (_spread(g, a.shape, axis, keepdims),))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else (
         np.prod([a.shape[ax] for ax in np.atleast_1d(axis)]))
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy() / count,)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy() / count,)
-
-    return apply_op("mean", (a,), out, backward)
+    return apply_op("mean", (a,), out,
+                    lambda g: (_spread(g, a.shape, axis, keepdims) / count,))
 
 
 def l2norm(a: Tensor, axis: int = -1, keepdims: bool = True) -> Tensor:

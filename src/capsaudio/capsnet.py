@@ -124,12 +124,11 @@ class Decoder(Module):
 
 
 def decode_reconstruct(caps: Tensor, targets: np.ndarray, decoder: Decoder,
-                       scaled_target: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Masked reconstruction and its mean-absolute-error loss."""
+                       x: Tensor) -> tuple[Tensor, Tensor]:
+    """Masked reconstruction of the scaled input x [B, frames, dims] and its
+    mean-absolute-error loss."""
     recon = decoder(caps, targets)
-    if scaled_target.shape != recon.data.shape:
-        raise ShapeError(f"reconstruction {recon.shape} vs target {scaled_target.shape}")
-    return recon, mae(recon, Tensor(scaled_target))
+    return recon, mae(recon, ad.reshape(x, (x.data.shape[0], -1)))
 
 
 def predict(lengths: np.ndarray, mode: str, threshold: float = 0.5) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Central finite-difference gradient checks for every differentiable op.
 
-Each registered check builds a random small instance and a scalar loss (a
-randomly weighted sum of the op output, so upstream gradients are O(1)).
+Each registered check builds a random small instance and a scalar loss,
+by default a signed, randomly weighted sum of the output so that upstream
+gradients are O(1); those weights come from one seed, WEIGHT_SEED. An op
+check draws its inputs; a module check draws its input and one array for
+every entry of the module's params() and puts them in place through
+Module.set, so it perturbs every parameter the module names.
 The analytic gradient from the tape is compared element-wise against
 (f(x+h) - f(x-h)) / 2h in float64. Relative error uses a 1e-2 scale floor
 so finite-difference roundoff on true-zero gradients does not register.
@@ -15,9 +19,11 @@ from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .capsnet import CapsuleLayer, Decoder, MarginLossParams, length_layer, margin_loss, mae, squash
 from .layers import AttentionPool, BatchNorm, BiLSTM
+from .models import CapsModel
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-2
+WEIGHT_SEED = 7
 
 
 def _loss_value(build, arrays) -> float:
@@ -51,24 +57,10 @@ def gradcheck(build, arrays, h: float = FD_STEP) -> float:
     return worst
 
 
-def _weighted_sum(y: Tensor, rng) -> Tensor:
+def _weighted_sum(y: Tensor) -> Tensor:
+    rng = np.random.default_rng(WEIGHT_SEED)
     w = rng.uniform(0.5, 1.5, size=y.data.shape) * rng.choice([-1.0, 1.0], y.data.shape)
     return ad.tsum(y * Tensor(w))
-
-
-# --- per-op check builders -------------------------------------------------
-
-def _elementwise(fn, sampler):
-    def make(rng):
-        x = sampler(rng, (3, 4))
-        w = rng.uniform(0.5, 1.5, size=(3, 4))
-
-        def build(ts):
-            return ad.tsum(fn(ts[0]) * Tensor(w))
-
-        return [x], build
-
-    return make
 
 
 def _normal(rng, shape):
@@ -84,227 +76,134 @@ def _positive(rng, shape):
     return rng.uniform(0.2, 2.0, size=shape)
 
 
-def _make_matmul(rng):
-    if rng.random() < 0.5:
-        a, b = _normal(rng, (3, 4)), _normal(rng, (4, 2))
-    else:
-        a, b = _normal(rng, (2, 3, 4)), _normal(rng, (2, 4, 2))
-
-    def build(ts):
-        return _weighted_sum(ad.matmul(ts[0], ts[1]), np.random.default_rng(7))
-
-    return [a, b], build
+_N34 = (_normal, (3, 4))
+_N234 = (_normal, (2, 3, 4))
 
 
-def _make_binary(op):
+# --- the two check builders: make(rng) -> (arrays, build) -------------------
+
+def _op(fn, *inputs):
+    """Check fn over inputs drawn from (sampler, shape) pairs."""
     def make(rng):
-        a = _normal(rng, (3, 4))
-        b = _away_from_zero(rng, (4,)) if op is ad.div else _normal(rng, (4,))
-
-        def build(ts):
-            return _weighted_sum(op(ts[0], ts[1]), np.random.default_rng(11))
-
-        return [a, b], build
+        return ([sampler(rng, shape) for sampler, shape in inputs],
+                lambda ts: _weighted_sum(fn(*ts)))
 
     return make
 
 
-def _make_softmax(rng):
-    x = _normal(rng, (3, 5))
+def _module(factory, x_shape, loss=lambda net, x: _weighted_sum(net(x)), scale=0.6):
+    """Check a fresh factory() module in its input and every params() entry."""
+    def make(rng):
+        params = factory().params()
+        names = list(params)
+        arrays = [_normal(rng, x_shape)] + [rng.normal(scale=scale, size=params[n].shape)
+                                            for n in names]
 
-    def build(ts):
-        return _weighted_sum(ad.softmax(ts[0], axis=-1), np.random.default_rng(3))
+        def build(ts):
+            net = factory()
+            net.set(dict(zip(names, ts[1:])))
+            return loss(net, ts[0])
 
-    return [x], build
+        return arrays, build
+
+    return make
 
 
-def _make_concat(rng):
-    parts = [_normal(rng, (2, k)) for k in (2, 3, 1)]
+def _seeded(cls, *args, **kwargs):
+    """A module factory; its init draws are replaced before use."""
+    return lambda: cls(np.random.default_rng(0), *args, **kwargs)
 
-    def build(ts):
-        return _weighted_sum(ad.concat(list(ts), axis=1), np.random.default_rng(5))
 
-    return parts, build
+def _routing(iters):
+    return _module(_seeded(CapsuleLayer, 2, 3, 2, 2, iters), (1, 2, 3), scale=0.7)
+
+
+def _decoder_mae(net, caps):
+    # The decoder output is a sigmoid in (0, 1), so a target of 2 keeps
+    # |recon - target| away from its kink.
+    return mae(net(caps, np.eye(2)), Tensor(np.full((2, 5), 2.0)))
+
+
+# --- the bespoke builders: each draws something per trial -------------------
+
+def _make_matmul(rng):
+    shapes = ((3, 4), (4, 2)) if rng.random() < 0.5 else ((2, 3, 4), (2, 4, 2))
+    return _op(ad.matmul, *((_normal, s) for s in shapes))(rng)
 
 
 def _make_reduce(op):
     def make(rng):
-        x = _normal(rng, (2, 3, 4))
         axis = [None, 0, 1, 2, (0, 1)][rng.integers(5)]
-
-        def build(ts):
-            return _weighted_sum(op(ts[0], axis=axis), np.random.default_rng(13))
-
-        return [x], build
+        return _op(lambda t: op(t, axis=axis), _N234)(rng)
 
     return make
-
-
-def _make_l2norm(rng):
-    x = _normal(rng, (3, 4))
-
-    def build(ts):
-        return _weighted_sum(ad.l2norm(ts[0], axis=-1), np.random.default_rng(17))
-
-    return [x], build
-
-
-def _make_structural(fn):
-    def make(rng):
-        x = _normal(rng, (2, 3, 4))
-
-        def build(ts):
-            return _weighted_sum(fn(ts[0]), np.random.default_rng(19))
-
-        return [x], build
-
-    return make
-
-
-def _make_batch_norm(rng):
-    x = _normal(rng, (2, 3, 4))
-    gamma = rng.uniform(0.5, 1.5, size=4)
-    beta = _normal(rng, (4,))
-
-    def build(ts):
-        bn = BatchNorm(4)
-        bn.gamma, bn.beta = ts[1], ts[2]
-        return _weighted_sum(bn(ts[0], training=True), np.random.default_rng(23))
-
-    return [x, gamma, beta], build
-
-
-def _make_bilstm(rng):
-    layer = BiLSTM(np.random.default_rng(0), 2, 2)
-    x = _normal(rng, (2, 3, 2))
-    names = list(layer.params())
-    arrays = [x] + [rng.normal(scale=0.6, size=layer.params()[n].shape) for n in names]
-
-    def build(ts):
-        net = BiLSTM(np.random.default_rng(0), 2, 2)
-        net.set(dict(zip(names, ts[1:])))
-        return _weighted_sum(net(ts[0]), np.random.default_rng(29))
-
-    return arrays, build
-
-
-def _make_attention(rng):
-    x = _normal(rng, (2, 3, 4))
-    W = rng.normal(scale=0.6, size=(4, 3))
-    v = rng.normal(scale=0.6, size=(3, 1))
-
-    def build(ts):
-        att = AttentionPool(np.random.default_rng(0), 4, 3)
-        att.W, att.v = ts[1], ts[2]
-        return _weighted_sum(att(ts[0]), np.random.default_rng(31))
-
-    return [x, W, v], build
-
-
-def _make_squash(rng):
-    x = _normal(rng, (2, 3, 4))
-
-    def build(ts):
-        return _weighted_sum(squash(ts[0]), np.random.default_rng(37))
-
-    return [x], build
-
-
-def _make_routing(iters):
-    def make(rng):
-        u = _normal(rng, (1, 2, 3))
-        W = rng.normal(scale=0.7, size=(2, 2, 2, 3))
-
-        def build(ts):
-            caps = CapsuleLayer(np.random.default_rng(0), 2, 3, 2, 2, iters)
-            caps.W = ts[1]
-            return _weighted_sum(caps(ts[0]), np.random.default_rng(41))
-
-        return [u, W], build
-
-    return make
-
-
-def _make_length(rng):
-    x = _normal(rng, (2, 3, 4))
-
-    def build(ts):
-        return _weighted_sum(length_layer(ts[0]), np.random.default_rng(43))
-
-    return [x], build
 
 
 def _make_margin(rng):
     # Lengths sampled clear of the hinge kinks at m_minus and m_plus.
     lengths = rng.uniform(0.15, 0.85, size=(2, 4))
     targets = (rng.random((2, 4)) < 0.5).astype(np.float64)
-
-    def build(ts):
-        return margin_loss(ts[0], targets, MarginLossParams(lam=0.5))
-
-    return [lengths], build
+    return [lengths], lambda ts: margin_loss(ts[0], targets, MarginLossParams(lam=0.5))
 
 
-def _make_decoder(rng):
-    dec = Decoder(np.random.default_rng(0), 2, 3, out_dim=5, hidden=(4, 6))
-    caps = _normal(rng, (2, 2, 3))
-    targets = np.eye(2)
-    # Target outside the sigmoid range keeps |recon - target| away from its kink.
-    recon_target = rng.uniform(1.5, 2.5, size=(2, 5))
-    names = list(dec.params())
-    arrays = [caps] + [rng.normal(scale=0.6, size=dec.params()[n].shape) for n in names]
-
-    def build(ts):
-        net = Decoder(np.random.default_rng(0), 2, 3, out_dim=5, hidden=(4, 6))
-        net.set(dict(zip(names, ts[1:])))
-        recon = net(ts[0], targets)
-        return mae(recon, Tensor(recon_target))
-
-    return arrays, build
+def _make_full_model(rng):
+    targets = np.eye(2)[rng.integers(2, size=2)]
+    model = _seeded(CapsModel, n_dims=3, hidden=2, t_fix=4, n_classes=2, caps_dim=2,
+                    routing_iters=2, dropout_rate=0.0, use_decoder=True,
+                    decoder_hidden=(3, 4))
+    return _module(model, (2, 4, 3), scale=0.5, loss=lambda net, x: net.forward(
+        x, training=True, rng=None, targets=targets).loss)(rng)
 
 
 CHECKS = {
     "matmul": _make_matmul,
-    "add": _make_binary(ad.add),
-    "sub": _make_binary(ad.sub),
-    "mul": _make_binary(ad.mul),
-    "div": _make_binary(ad.div),
-    "sigmoid": _elementwise(ad.sigmoid, _normal),
-    "tanh": _elementwise(ad.tanh, _normal),
-    "relu": _elementwise(ad.relu, _away_from_zero),
-    "log": _elementwise(ad.log, _positive),
-    "sqrt": _elementwise(ad.sqrt, _positive),
-    "square": _elementwise(ad.square, _normal),
-    "abs": _elementwise(ad.absolute, _away_from_zero),
-    "clamp_min": _elementwise(lambda t: ad.clamp_min(t, 0.15), _away_from_zero),
-    "softmax": _make_softmax,
-    "concat": _make_concat,
+    "add": _op(ad.add, _N34, (_normal, (4,))),
+    "sub": _op(ad.sub, _N34, (_normal, (4,))),
+    "mul": _op(ad.mul, _N34, (_normal, (4,))),
+    "div": _op(ad.div, _N34, (_away_from_zero, (4,))),
+    "sigmoid": _op(ad.sigmoid, _N34),
+    "tanh": _op(ad.tanh, _N34),
+    "relu": _op(ad.relu, (_away_from_zero, (3, 4))),
+    "log": _op(ad.log, (_positive, (3, 4))),
+    "sqrt": _op(ad.sqrt, (_positive, (3, 4))),
+    "square": _op(ad.square, _N34),
+    "abs": _op(ad.absolute, (_away_from_zero, (3, 4))),
+    "clamp_min": _op(lambda t: ad.clamp_min(t, 0.15), (_away_from_zero, (3, 4))),
+    "softmax": _op(lambda t: ad.softmax(t, axis=-1), (_normal, (3, 5))),
+    "concat": _op(lambda *ts: ad.concat(list(ts), axis=1),
+                  (_normal, (2, 2)), (_normal, (2, 3)), (_normal, (2, 1))),
     "sum": _make_reduce(ad.tsum),
     "mean": _make_reduce(ad.tmean),
-    "l2norm": _make_l2norm,
-    "reshape": _make_structural(lambda t: ad.reshape(t, (3, 8))),
-    "transpose": _make_structural(lambda t: ad.transpose(t, (2, 0, 1))),
-    "flip": _make_structural(lambda t: ad.flip(t, 1)),
-    "batch_norm": _make_batch_norm,
-    "bilstm": _make_bilstm,
-    "attention": _make_attention,
-    "squash": _make_squash,
-    "routing_1": _make_routing(1),
-    "routing_3": _make_routing(3),
-    "routing_5": _make_routing(5),
-    "length": _make_length,
+    "l2norm": _op(lambda t: ad.l2norm(t, axis=-1), _N34),
+    "reshape": _op(lambda t: ad.reshape(t, (3, 8)), _N234),
+    "transpose": _op(lambda t: ad.transpose(t, (2, 0, 1)), _N234),
+    "flip": _op(lambda t: ad.flip(t, 1), _N234),
+    "batch_norm": _module(lambda: BatchNorm(4), (2, 3, 4),
+                          loss=lambda net, x: _weighted_sum(net(x, training=True))),
+    "bilstm": _module(_seeded(BiLSTM, 2, 2), (2, 3, 2)),
+    "attention": _module(_seeded(AttentionPool, 4, 3), (2, 3, 4)),
+    "squash": _op(squash, _N234),
+    "routing_1": _routing(1),
+    "routing_3": _routing(3),
+    "routing_5": _routing(5),
+    "length": _op(length_layer, _N234),
     "margin_loss": _make_margin,
-    "decoder_mae": _make_decoder,
+    "decoder_mae": _module(_seeded(Decoder, 2, 3, out_dim=5, hidden=(4, 6)), (2, 2, 3),
+                           loss=_decoder_mae),
 }
 
 
-def check_op(name: str, trials: int = 100, seed: int = 0) -> float:
+def _worst(make, trials: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        arrays, build = CHECKS[name](rng)
+        arrays, build = make(rng)
         worst = max(worst, gradcheck(build, arrays))
     return worst
+
+
+def check_op(name: str, trials: int = 100, seed: int = 0) -> float:
+    return _worst(CHECKS[name], trials, seed)
 
 
 def run_suite(trials: int = 100, seed: int = 0) -> dict[str, float]:
@@ -314,32 +213,5 @@ def run_suite(trials: int = 100, seed: int = 0) -> dict[str, float]:
 
 def full_model_check(trials: int = 3, seed: int = 0) -> float:
     """End-to-end gradient check of BN -> 2x BiLSTM -> capsules -> margin+MAE
-    on a tiny instance (dropout off)."""
-    from .models import CapsModel  # local import to avoid a cycle
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        model = CapsModel(np.random.default_rng(1), n_dims=3, hidden=2, t_fix=4,
-                          n_classes=2, caps_dim=2, routing_iters=2,
-                          dropout_rate=0.0, use_decoder=True,
-                          decoder_hidden=(3, 4))
-        names = list(model.params())
-        x = rng.normal(size=(2, 4, 3))
-        targets = np.eye(2)
-        recon_target = rng.uniform(0.2, 0.8, size=(2, 4 * 3))
-        arrays = [x] + [rng.normal(scale=0.5, size=model.params()[n].shape)
-                        for n in names]
-
-        def build(ts):
-            m = CapsModel(np.random.default_rng(1), n_dims=3, hidden=2, t_fix=4,
-                          n_classes=2, caps_dim=2, routing_iters=2,
-                          dropout_rate=0.0, use_decoder=True,
-                          decoder_hidden=(3, 4))
-            m.set(dict(zip(names, ts[1:])))
-            out = m.forward(ts[0], training=True, rng=None, targets=targets,
-                            recon_target=recon_target)
-            return out.loss
-
-        worst = max(worst, gradcheck(build, arrays))
-    return worst
+    on a tiny instance (dropout off); the decoder's target is the input."""
+    return _worst(_make_full_model, trials, seed)

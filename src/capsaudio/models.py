@@ -22,7 +22,6 @@ class ForwardOutput:
     scores: Tensor               # class lengths (caps) or probabilities (baselines)
     loss: Tensor | None = None
     caps: Tensor | None = None   # [B, n_classes, caps_dim] activity vectors
-    recon: Tensor | None = None
 
 
 class CapsModel(Module):
@@ -49,8 +48,8 @@ class CapsModel(Module):
         self.recon_weight = recon_weight
         self.margin = MarginLossParams(lam=lam)
 
-    def forward(self, x, training: bool, rng, targets: np.ndarray | None = None,
-                recon_target: np.ndarray | None = None) -> ForwardOutput:
+    def forward(self, x, training: bool, rng,
+                targets: np.ndarray | None = None) -> ForwardOutput:
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.data.shape[1] != self.t_fix:
             raise ShapeError(f"expected {self.t_fix} frames, got {x.data.shape[1]}")
@@ -63,14 +62,12 @@ class CapsModel(Module):
         lengths = length_layer(v)
 
         loss = None
-        recon = None
         if targets is not None:
             loss = margin_loss(lengths, targets, self.margin)
-            if self.decoder is not None and recon_target is not None:
-                recon, recon_loss = decode_reconstruct(v, targets, self.decoder,
-                                                       recon_target)
+            if self.decoder is not None:
+                _, recon_loss = decode_reconstruct(v, targets, self.decoder, x)
                 loss = loss + recon_loss * self.recon_weight
-        return ForwardOutput(scores=lengths, loss=loss, caps=v, recon=recon)
+        return ForwardOutput(scores=lengths, loss=loss, caps=v)
 
 
 class RecurrentBaseline(Module):
@@ -91,8 +88,8 @@ class RecurrentBaseline(Module):
         self.mode = mode
         self.pooling = pooling
 
-    def forward(self, x, training: bool, rng, targets: np.ndarray | None = None,
-                **_) -> ForwardOutput:
+    def forward(self, x, training: bool, rng,
+                targets: np.ndarray | None = None) -> ForwardOutput:
         x = x if isinstance(x, Tensor) else Tensor(x)
         h = self.bn(x, training)
         h = self.lstm1(h)

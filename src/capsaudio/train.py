@@ -258,9 +258,6 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
     trained = TrainedModel(model, cfg, train_set.class_names)
     metrics = Metrics(metric_name(cfg.mode))
 
-    use_decoder = cfg.model == "caps" and cfg.use_decoder
-    recon_all = train_set.X.reshape(len(train_set), -1) if use_decoder else None
-
     best_snap = _snapshot(model)
     best_metric = -1.0
     for epoch in range(1, cfg.epochs + 1):
@@ -271,10 +268,8 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
             idx = order[lo:lo + cfg.batch_size]
             try:
                 with Graph() as g:
-                    out = model.forward(
-                        train_set.X[idx], training=True, rng=dropout_rng,
-                        targets=train_set.Y[idx],
-                        recon_target=recon_all[idx] if use_decoder else None)
+                    out = model.forward(train_set.X[idx], training=True,
+                                        rng=dropout_rng, targets=train_set.Y[idx])
                     loss = out.loss
                 if not np.isfinite(loss.data):
                     raise NumericsFault("non-finite loss")

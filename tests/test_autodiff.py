@@ -136,3 +136,26 @@ def test_gradcheck_catches_wrong_gradient():
                            lambda g: (2.0 * np.ones_like(ts[0].data) * g,))
 
     assert gradcheck(build, [np.ones((2, 2))]) > 1e-2
+
+
+def test_gradcheck_registry_names_in_order():
+    # The CLI table rows and C1's op count follow this registry.
+    assert list(CHECKS) == [
+        "matmul", "add", "sub", "mul", "div", "sigmoid", "tanh", "relu", "log",
+        "sqrt", "square", "abs", "clamp_min", "softmax", "concat", "sum", "mean",
+        "l2norm", "reshape", "transpose", "flip", "batch_norm", "bilstm",
+        "attention", "squash", "routing_1", "routing_3", "routing_5", "length",
+        "margin_loss", "decoder_mae"]
+
+
+@pytest.mark.parametrize("name, count", [
+    ("batch_norm", 3), ("bilstm", 7), ("attention", 3), ("routing_1", 2),
+    ("routing_3", 2), ("routing_5", 2), ("decoder_mae", 7)])
+def test_module_check_perturbs_input_and_every_param(name, count):
+    arrays, build = CHECKS[name](np.random.default_rng(0))
+    assert len(arrays) == count
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    with Graph() as g:
+        loss = build(tensors)
+    g.backward(loss)
+    assert all(t.grad is not None and np.any(t.grad != 0.0) for t in tensors)

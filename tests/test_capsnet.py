@@ -246,13 +246,13 @@ def test_decode_reconstruct_loss(rng):
     dec = Decoder(rng, 2, 3, out_dim=6, hidden=(4, 4))
     caps = rng.normal(size=(2, 2, 3))
     targets = np.eye(2)
-    scaled = rng.uniform(size=(2, 6))
+    x = rng.uniform(size=(2, 3, 2))  # the scaled input [batch, frames, dims]
     recon, loss = decode_reconstruct(caps=Tensor(caps), targets=targets,
-                                     decoder=dec, scaled_target=scaled)
+                                     decoder=dec, x=Tensor(x))
     assert recon.data.shape == (2, 6)
-    assert float(loss.data) == pytest.approx(np.abs(recon.data - scaled).mean())
+    assert float(loss.data) == pytest.approx(np.abs(recon.data - x.reshape(2, 6)).mean())
     with pytest.raises(ShapeError):
-        decode_reconstruct(Tensor(caps), targets, dec, rng.uniform(size=(2, 7)))
+        decode_reconstruct(Tensor(caps), targets, dec, Tensor(rng.uniform(size=(2, 7))))
 
 
 # --- predict ----------------------------------------------------------------

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,25 @@ def test_materialize_cache_bit_identical(tmp_path):
     for a, b, c in zip(direct, cached, again):
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(b.data, c.data)
+
+
+def test_materialize_shared_cache_never_torn(tmp_path):
+    # One clip listed 64 times on 8 threads over an empty cache: threads that
+    # find the cache file read it while others are still writing it.
+    write_wav(tmp_path / "a.wav", tone(440))
+    man = load_manifest(write_manifest(tmp_path, "a.wav,x\n" * 64), "train")
+    expected = materialize(man, str(tmp_path), FeatureConfig())[0].data
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for k in range(10):
+            cache = tmp_path / f"cache{k}"
+            mats = materialize(man, str(tmp_path), FeatureConfig(),
+                               cache_dir=str(cache), jobs=8)
+            assert all(np.array_equal(m.data, expected) for m in mats)
+            assert os.listdir(cache) == ["a.wav.cafe"]  # no temp file left
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_synth_multilabel_deterministic(tmp_path):
