@@ -97,7 +97,13 @@ class Graph:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(x) into .grad of every recorded tensor."""
+        """Accumulate d(loss)/d(x) into .grad of every recorded tensor.
+
+        The first contribution to a tensor is stored as a C-contiguous copy
+        that owns its data, since a backward_fn may return a read-only
+        broadcast view or hand one array to two inputs; later
+        contributions are added into that copy.
+        """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
@@ -109,8 +115,9 @@ class Graph:
                 if g is None or not tensor.requires_grad:
                     continue
                 if tensor.grad is None:
-                    tensor.grad = np.zeros_like(tensor.data)
-                tensor.grad += g
+                    tensor.grad = np.array(g, dtype=np.float64, order="C")
+                else:
+                    tensor.grad += g
 
 
 def _active_graph() -> Graph | None:

@@ -18,6 +18,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import RunConfig, config_from_text, config_to_text
 from .errors import FormatError
 
@@ -34,13 +35,13 @@ def _pack_block(name: str, arr: np.ndarray) -> bytes:
 
 
 def save_checkpoint(path, cfg: RunConfig, blocks: dict[str, np.ndarray]) -> None:
+    """Write atomically: a failed save leaves any old file at path intact."""
     config_bytes = config_to_text(cfg).encode("utf-8")
-    out = [MAGIC, struct.pack("<II", VERSION, len(config_bytes)), config_bytes,
-           struct.pack("<I", len(blocks))]
-    for name, arr in blocks.items():
-        out.append(_pack_block(name, arr))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+    with atomic_write(path) as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes
+                 + struct.pack("<I", len(blocks)))
+        for name, arr in blocks.items():
+            fh.write(_pack_block(name, arr))
 
 
 def load_checkpoint(path) -> tuple[RunConfig, dict[str, np.ndarray]]:

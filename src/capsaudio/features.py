@@ -9,14 +9,12 @@ and second regression derivatives over the 20 static dims give 60 dims total.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .audio import AudioClip
 from .errors import FormatError, InputTooShort, ShapeError
 
@@ -191,19 +189,12 @@ CACHE_MAGIC = b"CAFE"
 def write_cache(path, m: FeatureMatrix) -> None:
     """Binary cache: magic CAFE, u32 n_frames, u32 n_dims, row-major f32.
 
-    The file is written under a temporary name in the same directory and
-    renamed onto path, so a concurrent reader that finds path sees a whole file.
+    The write is atomic (atomic.atomic_write), so a concurrent reader that
+    finds path sees a whole file.
     """
     payload = np.ascontiguousarray(m.data, dtype="<f4").tobytes()
-    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CACHE_MAGIC + struct.pack("<II", m.n_frames, m.n_dims) + payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(CACHE_MAGIC + struct.pack("<II", m.n_frames, m.n_dims) + payload)
 
 
 def read_cache(path) -> FeatureMatrix:

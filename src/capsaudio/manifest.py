@@ -74,31 +74,37 @@ def materialize(manifest: DatasetManifest, root: str,
                 cache_dir: str | None = None, jobs: int = 1) -> list[FeatureMatrix]:
     """Compute (or load cached) feature matrices, keyed by entry index.
 
-    Matrices round-trip through the f32 cache representation regardless of
-    whether a cache_dir is given, so cached and direct runs are bit-identical.
+    Each distinct path is computed once; entries that list the same path
+    share one FeatureMatrix. Matrices round-trip through the f32 cache
+    representation regardless of whether a cache_dir is given, so cached
+    and direct runs are bit-identical.
     """
 
-    def one(entry: ManifestEntry) -> FeatureMatrix:
+    def one(rel: str) -> FeatureMatrix:
         if cache_dir is not None:
-            cpath = _cache_path(cache_dir, entry.path)
+            cpath = _cache_path(cache_dir, rel)
             if os.path.exists(cpath):
                 return read_cache(cpath)
-        wav = os.path.join(root, entry.path)
+        wav = os.path.join(root, rel)
         if not os.path.exists(wav):
             raise MissingFile(f"manifest references missing file {wav}")
         m = mfcc(load_wav(wav, target_rate=cfg.sample_rate), cfg)
         if cache_dir is not None:
-            cpath = _cache_path(cache_dir, entry.path)
+            cpath = _cache_path(cache_dir, rel)
             os.makedirs(os.path.dirname(cpath) or ".", exist_ok=True)
             write_cache(cpath, m)
             return read_cache(cpath)
         m.data = m.data.astype(np.float32).astype(np.float64)
         return m
 
+    paths = list(dict.fromkeys(e.path for e in manifest.entries))
     if jobs <= 1:
-        return [one(e) for e in manifest.entries]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, manifest.entries))
+        mats = [one(rel) for rel in paths]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            mats = list(pool.map(one, paths))
+    by_path = dict(zip(paths, mats))
+    return [by_path[e.path] for e in manifest.entries]
 
 
 def targets_for(manifest: DatasetManifest, class_names: list[str]) -> np.ndarray:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import Graph, Tensor
 from .capsnet import predict
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -133,18 +134,17 @@ _METRIC_NOTES = {
 
 
 def write_metrics(path, cfg: RunConfig, metrics: Metrics) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# capsaudio metrics v1\n")
-        for line in config_to_text(cfg).splitlines():
-            fh.write(f"# {line}\n")
-        fh.write("# selection: best_test\n")
-        fh.write(f"# metric: {metrics.metric_name} "
-                 f"({_METRIC_NOTES[metrics.metric_name]})\n")
-        fh.write(f"# best_epoch: {metrics.best_epoch}\n")
-        fh.write("# columns: epoch,train_loss,test_metric,seconds\n")
-        for e, l, m, s in zip(metrics.epochs, metrics.train_loss,
-                              metrics.test_metric, metrics.seconds):
-            fh.write(f"{e},{l!r},{m!r},{s:.3f}\n")
+    lines = ["# capsaudio metrics v1"]
+    lines += [f"# {line}" for line in config_to_text(cfg).splitlines()]
+    lines += ["# selection: best_test",
+              f"# metric: {metrics.metric_name} "
+              f"({_METRIC_NOTES[metrics.metric_name]})",
+              f"# best_epoch: {metrics.best_epoch}",
+              "# columns: epoch,train_loss,test_metric,seconds"]
+    lines += [f"{e},{l!r},{m!r},{s:.3f}" for e, l, m, s in zip(
+        metrics.epochs, metrics.train_loss, metrics.test_metric, metrics.seconds)]
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_metrics_rows(path) -> list[tuple[int, float, float, float]]:

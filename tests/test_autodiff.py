@@ -159,3 +159,34 @@ def test_module_check_perturbs_input_and_every_param(name, count):
         loss = build(tensors)
     g.backward(loss)
     assert all(t.grad is not None and np.any(t.grad != 0.0) for t in tensors)
+
+
+def test_backward_add_gives_each_input_its_own_grad(rng):
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)))
+    with Graph() as g:
+        loss = ad.tsum(ad.mul(ad.add(a, b), w))  # add hands one array to both
+    g.backward(loss)
+    assert not np.shares_memory(a.grad, b.grad)
+    before = b.grad.copy()
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, before)
+
+
+def test_backward_grad_from_broadcast_view_is_owned(rng):
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    with Graph() as g:
+        loss = ad.tsum(x)  # its backward returns a read-only broadcast view
+    g.backward(loss)
+    assert x.grad.flags.writeable and x.grad.flags.owndata
+    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+
+def test_backward_tensor_used_twice_accumulates(rng):
+    x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    w = rng.normal(size=(4, 2))
+    with Graph() as g:
+        loss = ad.tsum(ad.mul(ad.mul(x, x), Tensor(w)))
+    g.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data * w)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from capsaudio import checkpoint
 from capsaudio.checkpoint import load_checkpoint, save_checkpoint
 from capsaudio.config import RunConfig
 from capsaudio.errors import FormatError
@@ -54,6 +55,27 @@ def test_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 4)
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m.cpsn"
+    save_checkpoint(path, RunConfig(), {"a": np.ones(3), "b": np.zeros(2)})
+    before = path.read_bytes()
+    real_pack = checkpoint._pack_block
+    packed = []
+
+    def pack_then_fail(name, arr):
+        if packed:
+            raise OSError("disk full")
+        packed.append(name)
+        return real_pack(name, arr)
+
+    monkeypatch.setattr(checkpoint, "_pack_block", pack_then_fail)
+    with pytest.raises(OSError):
+        save_checkpoint(path, RunConfig(), {"a": np.full(3, 2.0), "b": np.ones(2)})
+    assert packed == ["a"]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.cpsn"]
 
 
 @pytest.mark.parametrize("model", ["caps", "lstm", "att"])

@@ -1,9 +1,11 @@
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from capsaudio import manifest
 from capsaudio.audio import AudioClip, load_wav, write_wav
 from capsaudio.errors import InsufficientData, MissingFile, ParseError
 from capsaudio.features import FeatureConfig
@@ -110,22 +112,42 @@ def test_materialize_cache_bit_identical(tmp_path):
 
 
 def test_materialize_shared_cache_never_torn(tmp_path):
-    # One clip listed 64 times on 8 threads over an empty cache: threads that
-    # find the cache file read it while others are still writing it.
+    # Eight materialize calls on one empty cache at once: calls that find the
+    # cache file read it while others are still writing it.
     write_wav(tmp_path / "a.wav", tone(440))
-    man = load_manifest(write_manifest(tmp_path, "a.wav,x\n" * 64), "train")
+    man = load_manifest(write_manifest(tmp_path, "a.wav,x\n"), "train")
     expected = materialize(man, str(tmp_path), FeatureConfig())[0].data
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for k in range(10):
             cache = tmp_path / f"cache{k}"
-            mats = materialize(man, str(tmp_path), FeatureConfig(),
-                               cache_dir=str(cache), jobs=8)
-            assert all(np.array_equal(m.data, expected) for m in mats)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                runs = list(pool.map(
+                    lambda _: materialize(man, str(tmp_path), FeatureConfig(),
+                                          cache_dir=str(cache)), range(8)))
+            assert all(np.array_equal(m.data, expected) for ms in runs for m in ms)
             assert os.listdir(cache) == ["a.wav.cafe"]  # no temp file left
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_materialize_computes_each_path_once(tmp_path, monkeypatch, cached):
+    man0 = make_wav_dataset(tmp_path, n=3)
+    rows = [f"{e.path},x" for e in man0.entries] * 20
+    man = load_manifest(write_manifest(tmp_path, "\n".join(rows) + "\n"), "train")
+    expected = [m.data for m in materialize(man0, str(tmp_path), FeatureConfig())]
+    calls = []
+    real_mfcc = manifest.mfcc
+    monkeypatch.setattr(manifest, "mfcc",
+                        lambda clip, cfg: calls.append(1) or real_mfcc(clip, cfg))
+    cache = str(tmp_path / "cache") if cached else None
+    mats = materialize(man, str(tmp_path), FeatureConfig(), cache_dir=cache, jobs=8)
+    assert len(calls) == 3
+    assert len(mats) == 60
+    for k, m in enumerate(mats):
+        assert np.array_equal(m.data, expected[k % 3])
 
 
 def test_synth_multilabel_deterministic(tmp_path):

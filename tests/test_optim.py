@@ -1,7 +1,7 @@
 import numpy as np
 
 from capsaudio.autodiff import Tensor
-from capsaudio.optim import Adam
+from capsaudio.optim import CHUNK, Adam
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -51,3 +51,41 @@ def test_step_replaces_array_not_in_place():
     Adam(lr=0.1).step({"p": p})
     np.testing.assert_array_equal(snapshot, [1.0])  # old snapshot untouched
     assert p.grad is None  # cleared after the step
+
+
+def reference_step(p, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as whole-array expressions, in the rounding order Adam keeps."""
+    b1t = 1.0 - beta1 ** t
+    b2t = 1.0 - beta2 ** t
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    return p - lr * (m / b1t) / (np.sqrt(v / b2t) + eps), m, v
+
+
+def test_step_matches_reference_bit_for_bit(rng):
+    shapes = {
+        "big": (3, CHUNK + CHUNK // 3 + 7),  # several chunks, last one partial
+        "transposed": (5, 3),                # grad given as a transposed view
+        "no_grad": (4,),                     # grad stays None
+    }
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: (p.data.copy(), np.zeros(s), np.zeros(s)) for (k, p), s in
+           zip(params.items(), shapes.values())}
+    opt = Adam(lr=0.01)
+    for t in range(1, 6):
+        grads = {"big": rng.normal(size=shapes["big"]),
+                 "transposed": rng.normal(size=(3, 5)).T,
+                 "no_grad": None}
+        assert not grads["transposed"].flags.c_contiguous
+        old = {}
+        for k, p in params.items():
+            p.grad = grads[k]
+            old[k] = p.data
+        opt.step(params)
+        for k, p in params.items():
+            g = grads[k] if grads[k] is not None else np.zeros(shapes[k])
+            ref[k] = reference_step(*ref[k], g, t, lr=0.01)
+            np.testing.assert_array_equal(p.data, ref[k][0])
+            assert p.data.flags.c_contiguous
+            assert not np.shares_memory(p.data, old[k])
+            assert p.grad is None

@@ -248,3 +248,17 @@ def test_metrics_file_format(tmp_path):
     rows = read_metrics_rows(path)
     assert rows[0][:3] == (1, 0.5, 0.75)
     assert rows[1][:3] == (2, 0.25, 1.0)
+
+
+def test_failed_metrics_write_keeps_old_file(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "metrics.csv"
+    write_metrics(path, cfg, Metrics("accuracy", epochs=[1], train_loss=[0.5],
+                                     test_metric=[0.75], seconds=[0.1], best_epoch=1))
+    before = path.read_bytes()
+    bad = Metrics("accuracy", epochs=[1, 2], train_loss=[0.5, 0.25],
+                  test_metric=[0.75, 1.0], seconds=[0.1, "n/a"], best_epoch=2)
+    with pytest.raises(ValueError):  # the second row's seconds cannot format
+        write_metrics(path, cfg, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
