@@ -84,8 +84,7 @@ def fit_pca(vectors: np.ndarray, n_components: int) -> PCAModel:
 
 def capsule_scatter(trained: TrainedModel,
                     clips_with_levels: list[tuple[AudioClip, float]],
-                    class_index: int,
-                    feature_cfg: FeatureConfig = FeatureConfig()):
+                    class_index: int):
     """Project one class's activity vectors to 2-D, labeled by level.
 
     Returns (rows, pca) where rows are (level, pc1, pc2). With a single
@@ -94,7 +93,7 @@ def capsule_scatter(trained: TrainedModel,
     """
     if trained.scaler is None:
         raise ConfigError("checkpoint carries no feature scaler")
-    X = np.stack([pad_to(apply_scaler(mfcc(clip, feature_cfg), trained.scaler).data,
+    X = np.stack([pad_to(apply_scaler(mfcc(clip), trained.scaler).data,
                          trained.cfg.T_fix)
                   for clip, _ in clips_with_levels])
     caps = trained.caps_vectors(X)  # raises ConfigError unless a caps model
@@ -128,8 +127,7 @@ def write_scatter(path, rows, checkpoint_hash: str, pca: PCAModel | None) -> Non
 
 
 def export_transfer_features(trained: TrainedModel, manifest: DatasetManifest,
-                             root: str, out_dir: str,
-                             feature_cfg: FeatureConfig = FeatureConfig()) -> list[str]:
+                             root: str, out_dir: str) -> list[str]:
     """Append the source model's flattened capsule vector to every frame.
 
     Each clip's raw feature matrix gains n_src_classes * caps_dim constant
@@ -142,8 +140,9 @@ def export_transfer_features(trained: TrainedModel, manifest: DatasetManifest,
     expected_dims = trained.scaler.minimum.shape[0]
     written = []
     for entry in manifest.entries:
-        clip = load_wav(os.path.join(root, entry.path), target_rate=feature_cfg.sample_rate)
-        m = mfcc(clip, feature_cfg)
+        clip = load_wav(os.path.join(root, entry.path),
+                        target_rate=FeatureConfig().sample_rate)
+        m = mfcc(clip)
         if m.n_dims != expected_dims:
             raise FormatError(f"{entry.path}: {m.n_dims} feature dims collide with "
                               f"the checkpoint scaler's {expected_dims}")

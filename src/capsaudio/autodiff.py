@@ -295,14 +295,6 @@ def l2norm(a: Tensor, axis: int = -1, keepdims: bool = True) -> Tensor:
 # ---------------------------------------------------------------------------
 # structural ops
 
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-    return apply_op("concat", tuple(tensors), out,
-                    lambda g: tuple(np.split(g, splits, axis=axis)))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     return apply_op("reshape", (a,), a.data.reshape(shape),
                     lambda g: (g.reshape(a.shape),))
@@ -312,8 +304,3 @@ def transpose(a: Tensor, axes) -> Tensor:
     inverse = np.argsort(axes)
     return apply_op("transpose", (a,), a.data.transpose(axes),
                     lambda g: (g.transpose(inverse),))
-
-
-def flip(a: Tensor, axis: int) -> Tensor:
-    return apply_op("flip", (a,), np.flip(a.data, axis=axis).copy(),
-                    lambda g: (np.flip(g, axis=axis).copy(),))

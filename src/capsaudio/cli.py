@@ -20,9 +20,9 @@ from .audio import load_wav
 from .config import apply_overrides, load_config
 from .errors import CapsAudioError, ConfigError
 from .features import FeatureConfig
-from .manifest import load_manifest, materialize, synth_multilabel, save_manifest
-from .train import (evaluate, load_trained, make_dataset, metric_name, run_grid,
-                    run_training, write_grid_table)
+from .manifest import materialize, synth_multilabel, save_manifest
+from .train import (evaluate, load_splits, load_trained, make_dataset, metric_name,
+                    run_grid, run_training, write_grid_table)
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -41,10 +41,20 @@ def _load_cfg(args):
     return cfg
 
 
+def _load_matching(args):
+    """The checkpoint plus load_splits(args.data); the data dir must have
+    as many classes as the checkpoint scores."""
+    trained = load_trained(args.checkpoint)
+    mans, class_names = load_splits(args.data)
+    if len(class_names) != trained.n_classes:
+        raise ConfigError(f"{args.data} has {len(class_names)} classes but the "
+                          f"checkpoint has {trained.n_classes}")
+    return trained, mans, class_names
+
+
 def _cmd_features(args) -> int:
     total = 0
-    for split in ("train", "test"):
-        man = load_manifest(os.path.join(args.data, f"{split}.csv"), split)
+    for man in load_splits(args.data)[0].values():
         materialize(man, args.data, FeatureConfig(), cache_dir=args.out,
                     jobs=args.jobs)
         total += len(man.entries)
@@ -63,10 +73,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    trained = load_trained(args.checkpoint)
-    man = load_manifest(os.path.join(args.data, f"{args.split}.csv"), args.split)
+    trained, mans, class_names = _load_matching(args)
+    man = mans[args.split]
     mats = materialize(man, args.data, FeatureConfig(), cache_dir=args.features)
-    ds = make_dataset(man, mats, man.class_names, trained.scaler, trained.cfg.T_fix)
+    ds = make_dataset(man, mats, class_names, trained.scaler, trained.cfg.T_fix)
     metric, _ = evaluate(trained, ds)
     print(f"eval: {args.split} {metric_name(trained.cfg.mode)}={metric}")
     return 0
@@ -111,12 +121,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    trained = load_trained(args.checkpoint)
+    trained, mans, class_names = _load_matching(args)
     _ensure_run_dir(args.out, args.force)
-    train_man = load_manifest(os.path.join(args.data, "train.csv"), "train")
-    split_man = (train_man if args.split == "train" else
-                 load_manifest(os.path.join(args.data, "test.csv"), "test"))
-    class_names = sorted(set(train_man.class_names) | set(split_man.class_names))
     if args.target_class not in class_names:
         raise ConfigError(f"class {args.target_class!r} not in dataset "
                           f"(classes: {', '.join(class_names)})")
@@ -130,7 +136,7 @@ def _cmd_analyze(args) -> int:
     spec = AugmentSpec(args.kind, levels)
 
     pairs = []
-    for entry in split_man.entries:
+    for entry in mans[args.split].entries:
         if args.target_class not in entry.labels:
             continue
         clip = load_wav(os.path.join(args.data, entry.path))
@@ -151,8 +157,7 @@ def _cmd_transfer(args) -> int:
     trained = load_trained(args.checkpoint)
     _ensure_run_dir(args.out, args.force)
     n = 0
-    for split in ("train", "test"):
-        man = load_manifest(os.path.join(args.data, f"{split}.csv"), split)
+    for man in load_splits(args.data)[0].values():
         n += len(export_transfer_features(trained, man, args.data, args.out))
     print(f"transfer: wrote {n} augmented feature files under {args.out}")
     return 0
@@ -160,8 +165,7 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_synth_multilabel(args) -> int:
     _ensure_run_dir(args.out, args.force)
-    for split in ("train", "test"):
-        src = load_manifest(os.path.join(args.data, f"{split}.csv"), split)
+    for split, src in load_splits(args.data)[0].items():
         out = synth_multilabel(src, args.data, args.out, seed=args.seed,
                                n_pairs=args.pairs)
         save_manifest(os.path.join(args.out, f"{split}.csv"), out)

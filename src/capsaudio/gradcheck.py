@@ -161,6 +161,7 @@ CHECKS = {
     "sub": _op(ad.sub, _N34, (_normal, (4,))),
     "mul": _op(ad.mul, _N34, (_normal, (4,))),
     "div": _op(ad.div, _N34, (_away_from_zero, (4,))),
+    "neg": _op(ad.neg, _N34),
     "sigmoid": _op(ad.sigmoid, _N34),
     "tanh": _op(ad.tanh, _N34),
     "relu": _op(ad.relu, (_away_from_zero, (3, 4))),
@@ -170,14 +171,11 @@ CHECKS = {
     "abs": _op(ad.absolute, (_away_from_zero, (3, 4))),
     "clamp_min": _op(lambda t: ad.clamp_min(t, 0.15), (_away_from_zero, (3, 4))),
     "softmax": _op(lambda t: ad.softmax(t, axis=-1), (_normal, (3, 5))),
-    "concat": _op(lambda *ts: ad.concat(list(ts), axis=1),
-                  (_normal, (2, 2)), (_normal, (2, 3)), (_normal, (2, 1))),
     "sum": _make_reduce(ad.tsum),
     "mean": _make_reduce(ad.tmean),
     "l2norm": _op(lambda t: ad.l2norm(t, axis=-1), _N34),
     "reshape": _op(lambda t: ad.reshape(t, (3, 8)), _N234),
     "transpose": _op(lambda t: ad.transpose(t, (2, 0, 1)), _N234),
-    "flip": _op(lambda t: ad.flip(t, 1), _N234),
     "batch_norm": _module(lambda: BatchNorm(4), (2, 3, 4),
                           loss=lambda net, x: _weighted_sum(net(x, training=True))),
     "bilstm": _module(_seeded(BiLSTM, 2, 2), (2, 3, 2)),

@@ -4,8 +4,8 @@ The per-timestep recurrence (forward) and backpropagation through time are
 the only Python-level loops in the training path. Both kernels hoist the
 input projection out of the time loop (one GEMM for all timesteps) and
 batch the weight-gradient GEMMs after the backward recurrence; only the
-recurrent h @ Wh products stay per-step. layers.lstm_seq looks both kernels
-up through this module at call time.
+recurrent h @ Wh products stay per-step. layers.BiLSTM looks both kernels
+up through this module at call time, once per direction.
 
 All arrays are time-major: x is [T, B, I], outputs are [T, B, H]. Gate
 layout along the last axis is i, f, g, o (input, forget, cell candidate,

@@ -94,19 +94,6 @@ class BatchNorm(Module):
         return xhat * self.gamma + self.beta
 
 
-def lstm_seq(x: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
-    """One LSTM direction over a time-major [T, B, I] sequence (fused op)."""
-    h, c, gates = kernels.lstm_forward(
-        np.ascontiguousarray(x.data), Wx.data, Wh.data, b.data)
-
-    def backward(g):
-        return kernels.lstm_backward(
-            np.ascontiguousarray(g), np.ascontiguousarray(x.data),
-            Wx.data, Wh.data, h, c, gates)
-
-    return ad.apply_op("lstm", (x, Wx, Wh, b), h, backward)
-
-
 class LSTMDirection(Module):
     def __init__(self, rng, n_in: int, hidden: int):
         self.Wx = Tensor(glorot(rng, (n_in, 4 * hidden), n_in, 4 * hidden),
@@ -116,7 +103,6 @@ class LSTMDirection(Module):
         b = np.zeros(4 * hidden)
         b[hidden:2 * hidden] = 1.0  # forget-gate bias
         self.b = Tensor(b, requires_grad=True)
-        self.hidden = hidden
 
 
 class BiLSTM(Module):
@@ -128,14 +114,31 @@ class BiLSTM(Module):
         self.hidden = hidden
 
     def __call__(self, x: Tensor) -> Tensor:
+        """One tape op over x and both directions' parameters; the backward
+        direction runs over the time-reversed, time-major [T, B, I] input."""
         if x.data.ndim != 3:
             raise ShapeError(f"bilstm expects [batch, frames, dims], got {x.shape}")
         if x.data.shape[1] == 0:
             raise InputTooShort("bilstm got a zero-length sequence")
-        xm = ad.transpose(x, (1, 0, 2))
-        hf = lstm_seq(xm, self.fwd.Wx, self.fwd.Wh, self.fwd.b)
-        hb = ad.flip(lstm_seq(ad.flip(xm, 0), self.bwd.Wx, self.bwd.Wh, self.bwd.b), 0)
-        return ad.transpose(ad.concat([hf, hb], axis=-1), (1, 0, 2))
+        H = self.hidden
+        dirs = (self.fwd, self.bwd)
+        xf = np.ascontiguousarray(x.data.transpose(1, 0, 2))
+        xs = (xf, np.ascontiguousarray(xf[::-1]))
+        runs = [kernels.lstm_forward(xd, d.Wx.data, d.Wh.data, d.b.data)
+                for xd, d in zip(xs, dirs)]
+        (hf, _, _), (hb, _, _) = runs
+        out = np.concatenate([hf, hb[::-1]], axis=-1).transpose(1, 0, 2)
+
+        def backward(g):
+            g = g.transpose(1, 0, 2)
+            gs = (g[:, :, :H], g[::-1, :, H:])
+            (dxf, *dwf), (dxb, *dwb) = [
+                kernels.lstm_backward(np.ascontiguousarray(gd), xd, d.Wx.data, d.Wh.data,
+                                      *run)
+                for gd, xd, d, run in zip(gs, xs, dirs, runs)]
+            return ((dxf + dxb[::-1]).transpose(1, 0, 2), *dwf, *dwb)
+
+        return ad.apply_op("lstm", (x, *self.params().values()), out, backward)
 
 
 def dropout(x: Tensor, rate: float, training: bool,

@@ -16,7 +16,7 @@ from .capsnet import predict
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_to_text, save_config, validate
 from .errors import ConfigError, DivergenceFault, InsufficientData, NumericsFault, ShapeError
-from .features import FeatureConfig, ScalerParams, apply_scaler, fit_scaler
+from .features import ScalerParams, apply_scaler, fit_scaler
 from .manifest import load_manifest, materialize, targets_for
 from .models import build_model
 from .optim import Adam
@@ -55,24 +55,28 @@ def make_dataset(manifest, mats, class_names: list[str], scaler: ScalerParams,
     return ArrayDataset(X, targets_for(manifest, class_names), class_names)
 
 
-def prepare_data(data_dir: str, t_fix: int,
-                 feature_cfg: FeatureConfig = FeatureConfig(),
-                 cache_dir: str | None = None, jobs: int = 1,
-                 scaler: ScalerParams | None = None):
+def load_splits(data_dir: str):
+    """The train and test manifests under data_dir, by split name, and the
+    class order every verb uses: the sorted union of both splits' labels."""
+    mans = {split: load_manifest(os.path.join(data_dir, f"{split}.csv"), split)
+            for split in ("train", "test")}
+    return mans, sorted(set().union(*(m.class_names for m in mans.values())))
+
+
+def prepare_data(data_dir: str, t_fix: int, cache_dir: str | None = None,
+                 jobs: int = 1, scaler: ScalerParams | None = None):
     """Load train.csv/test.csv under data_dir into model-ready arrays.
 
     The min-max scaler is fitted on the training split unless one is given
-    (e.g. from a checkpoint). Class order is the sorted union of labels.
+    (e.g. from a checkpoint). Class order is load_splits'.
     """
-    train_man = load_manifest(os.path.join(data_dir, "train.csv"), "train")
-    test_man = load_manifest(os.path.join(data_dir, "test.csv"), "test")
-    train_mats = materialize(train_man, data_dir, feature_cfg, cache_dir, jobs)
-    test_mats = materialize(test_man, data_dir, feature_cfg, cache_dir, jobs)
+    mans, class_names = load_splits(data_dir)
+    mats = {split: materialize(man, data_dir, cache_dir=cache_dir, jobs=jobs)
+            for split, man in mans.items()}
     if scaler is None:
-        scaler = fit_scaler(train_mats)
-    class_names = sorted(set(train_man.class_names) | set(test_man.class_names))
-    train_ds = make_dataset(train_man, train_mats, class_names, scaler, t_fix)
-    test_ds = make_dataset(test_man, test_mats, class_names, scaler, t_fix)
+        scaler = fit_scaler(mats["train"])
+    train_ds, test_ds = (make_dataset(mans[split], mats[split], class_names, scaler, t_fix)
+                         for split in ("train", "test"))
     return train_ds, test_ds, scaler
 
 
@@ -186,6 +190,12 @@ class TrainedModel:
                               f"got model={self.cfg.model}")
         return self._batched(X, "caps")
 
+    @property
+    def n_classes(self) -> int:
+        """Classes the model scores: the width of its output layer."""
+        m = self.model
+        return m.caps.n_classes if self.cfg.model == "caps" else m.head.b.shape[0]
+
     def save(self, path) -> None:
         save_checkpoint(path, self.cfg, model_blocks(self.model, self.scaler))
 
@@ -296,12 +306,10 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
 
 
 def run_training(cfg: RunConfig, data_dir: str, out_dir: str | None = None,
-                 feature_cfg: FeatureConfig = FeatureConfig(),
                  cache_dir: str | None = None,
                  jobs: int = 1) -> tuple[TrainedModel, Metrics]:
     """Feature pipeline + train; optionally write the run directory."""
-    train_ds, test_ds, scaler = prepare_data(data_dir, cfg.T_fix, feature_cfg,
-                                             cache_dir, jobs)
+    train_ds, test_ds, scaler = prepare_data(data_dir, cfg.T_fix, cache_dir, jobs)
     trained, metrics = train(cfg, train_ds, test_ds)
     trained.scaler = scaler
     if out_dir is not None:

@@ -1,10 +1,13 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
 from capsaudio import autodiff as ad
 from capsaudio.autodiff import Graph, Tensor
 from capsaudio.errors import NumericsFault, ShapeError
-from capsaudio.gradcheck import CHECKS, check_op, gradcheck
+from capsaudio.gradcheck import CHECKS, _make_full_model, check_op, gradcheck
 
 
 def scalar_loss(t):
@@ -141,11 +144,27 @@ def test_gradcheck_catches_wrong_gradient():
 def test_gradcheck_registry_names_in_order():
     # The CLI table rows and C1's op count follow this registry.
     assert list(CHECKS) == [
-        "matmul", "add", "sub", "mul", "div", "sigmoid", "tanh", "relu", "log",
-        "sqrt", "square", "abs", "clamp_min", "softmax", "concat", "sum", "mean",
-        "l2norm", "reshape", "transpose", "flip", "batch_norm", "bilstm",
-        "attention", "squash", "routing_1", "routing_3", "routing_5", "length",
-        "margin_loss", "decoder_mae"]
+        "matmul", "add", "sub", "mul", "div", "neg", "sigmoid", "tanh", "relu",
+        "log", "sqrt", "square", "abs", "clamp_min", "softmax", "sum", "mean",
+        "l2norm", "reshape", "transpose", "batch_norm", "bilstm", "attention",
+        "squash", "routing_1", "routing_3", "routing_5", "length", "margin_loss",
+        "decoder_mae"]
+
+
+def test_every_tape_op_is_gradient_checked():
+    # Each op name the library records must be recorded by some CHECKS
+    # builder or by the full-model check.
+    src = pathlib.Path(ad.__file__).parent
+    recorded_by_library = {name for path in src.glob("*.py")
+                           for name in re.findall(r'apply_op\("(\w+)"', path.read_text())}
+    checked = set()
+    for make in [*CHECKS.values(), _make_full_model]:
+        arrays, build = make(np.random.default_rng(0))
+        with Graph() as g:
+            build([Tensor(a, requires_grad=True) for a in arrays])
+        checked.update(n.name for n in g.nodes)
+    assert recorded_by_library and recorded_by_library <= checked, (
+        sorted(recorded_by_library - checked))
 
 
 @pytest.mark.parametrize("name, count", [

@@ -1,10 +1,12 @@
 import os
+import shutil
 
 import pytest
 
 from capsaudio.cli import dispatch
 from capsaudio.config import load_config
 from capsaudio.features import read_cache
+from capsaudio.manifest import DatasetManifest, load_manifest, save_manifest
 from capsaudio.synthdata import make_digit_dataset
 from capsaudio.train import read_metrics_rows
 
@@ -83,6 +85,39 @@ def test_eval_prints_metric(run_dir, tiny_data, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "accuracy=" in out
+
+
+def _without_digit_0(src, dst, splits):
+    """Copy the dataset under src to dst, dropping digit_0 from the given splits."""
+    shutil.copytree(src, dst)
+    for split in splits:
+        path = os.path.join(dst, f"{split}.csv")
+        man = load_manifest(path, split)
+        kept = [e for e in man.entries if "digit_0" not in e.labels]
+        save_manifest(path, DatasetManifest(kept, ["digit_1"], split))
+    return str(dst)
+
+
+def test_eval_on_split_missing_a_class(run_dir, tiny_data, tmp_path, capsys):
+    # Classes come from train.csv and test.csv together, so a test split
+    # without digit_0 still maps to the checkpoint's two classes.
+    data = _without_digit_0(tiny_data, tmp_path / "subset", ["test"])
+    code = dispatch(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.cpsn"),
+                     "--data", data])
+    assert code == 0
+    assert "accuracy=" in capsys.readouterr().out
+
+
+def test_class_count_mismatch_exit_code(run_dir, tiny_data, tmp_path, capsys):
+    data = _without_digit_0(tiny_data, tmp_path / "one_class", ["train", "test"])
+    ckpt = os.path.join(run_dir, "checkpoint.cpsn")
+    code = dispatch(["analyze", "--checkpoint", ckpt, "--data", data,
+                     "--kind", "amplitude", "--target-class", "digit_1",
+                     "--out", str(tmp_path / "s")])
+    assert code == 3
+    assert "has 1 classes" in capsys.readouterr().err
+    assert dispatch(["eval", "--checkpoint", ckpt, "--data", data]) == 3
+    assert "checkpoint has 2" in capsys.readouterr().err
 
 
 def test_features_verb_writes_cache(tiny_data, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capsaudio.autodiff import Tensor
+from capsaudio.autodiff import Graph, Tensor
 from capsaudio.errors import ConfigError, DegenerateBatch, InputTooShort, ShapeError
 from capsaudio.layers import AttentionPool, BatchNorm, BiLSTM, Dense, dropout, mean_pool
 
@@ -129,6 +129,18 @@ def test_bilstm_output_depends_on_full_sequence(rng):
         assert diff.max() > 1e-6
         # both directions carry the perturbation across time
         assert diff[0, :, :3].max() > 1e-9 and diff[0, :, 3:].max() > 1e-9
+
+
+def test_bilstm_records_one_tape_node(rng):
+    net = BiLSTM(rng, 3, 2)
+    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    with Graph() as g:
+        out = net(x)
+    assert [n.name for n in g.nodes] == ["lstm"]
+    node = g.nodes[0]
+    assert node.out is out
+    assert len(node.inputs) == 7
+    assert all(a is b for a, b in zip(node.inputs, [x, *net.params().values()]))
 
 
 def test_forget_gate_bias_initialized_to_one(rng):
