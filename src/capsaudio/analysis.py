@@ -8,11 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioClip, load_wav, resample_linear
+from .audio import AudioClip, resample_linear
 from .errors import ConfigError, FormatError
-from .features import FeatureConfig, FeatureMatrix, apply_scaler, mfcc, write_cache
-from .manifest import DatasetManifest
-from .train import TrainedModel, pad_to
+from .features import FeatureMatrix, apply_scaler, mfcc, write_cache
+from .manifest import DatasetManifest, materialize
+from .train import TrainedModel, make_dataset, pad_to
 
 DEFAULT_AMPLITUDE_LEVELS = (-0.1, -0.05, 0.05, 0.1)
 DEFAULT_SPEED_LEVELS = (0.8, 0.9, 1.1, 1.25)
@@ -97,7 +97,7 @@ def capsule_scatter(trained: TrainedModel,
                          trained.cfg.T_fix)
                   for clip, _ in clips_with_levels])
     caps = trained.caps_vectors(X)  # raises ConfigError unless a caps model
-    n_classes = trained.model.caps.n_classes
+    n_classes = trained.n_classes
     if not 0 <= class_index < n_classes:
         raise ConfigError(f"class index {class_index} not in checkpoint "
                           f"(has {n_classes} classes)")
@@ -130,29 +130,28 @@ def export_transfer_features(trained: TrainedModel, manifest: DatasetManifest,
                              root: str, out_dir: str) -> list[str]:
     """Append the source model's flattened capsule vector to every frame.
 
-    Each clip's raw feature matrix gains n_src_classes * caps_dim constant
-    extra dims and is written in the cache format under out_dir, mirroring
-    the manifest's relative paths. The original dims are bit-identical to a
-    plain feature cache.
+    Each clip's feature matrix, as materialize() gives it, gains
+    n_src_classes * caps_dim constant extra dims and is written in the cache
+    format under out_dir, mirroring the manifest's relative paths. The
+    original dims are bit-identical to a plain feature cache; the extra dims
+    are the f32 of caps_vectors() over the clips' model inputs.
     """
     if trained.scaler is None:
         raise ConfigError("checkpoint carries no feature scaler")
     expected_dims = trained.scaler.minimum.shape[0]
-    written = []
-    for entry in manifest.entries:
-        clip = load_wav(os.path.join(root, entry.path),
-                        target_rate=FeatureConfig().sample_rate)
-        m = mfcc(clip)
+    mats = materialize(manifest, root)
+    for entry, m in zip(manifest.entries, mats):
         if m.n_dims != expected_dims:
             raise FormatError(f"{entry.path}: {m.n_dims} feature dims collide with "
                               f"the checkpoint scaler's {expected_dims}")
-        x = pad_to(apply_scaler(m, trained.scaler).data, trained.cfg.T_fix)
-        caps = trained.caps_vectors(x[None])[0].reshape(-1)
-        extra = np.broadcast_to(caps, (m.n_frames, caps.size))
-        out = FeatureMatrix(np.concatenate([m.data, extra], axis=1),
-                            m.frame_ms, m.hop_ms)
+    X = make_dataset(manifest, mats, manifest.class_names, trained.scaler,
+                     trained.cfg.T_fix).X
+    caps = trained.caps_vectors(X).reshape(len(mats), -1)
+    written = []
+    for entry, m, vec in zip(manifest.entries, mats, caps):
+        extra = np.broadcast_to(vec, (m.n_frames, vec.size))
         path = os.path.join(out_dir, entry.path + ".cafe")
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        write_cache(path, out)
+        write_cache(path, FeatureMatrix(np.concatenate([m.data, extra], axis=1)))
         written.append(path)
     return written

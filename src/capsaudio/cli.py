@@ -8,7 +8,6 @@ synth-multilabel. Exit codes: 0 success, 1 runtime fault, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import os
 import sys
@@ -21,8 +20,8 @@ from .config import apply_overrides, load_config
 from .errors import CapsAudioError, ConfigError
 from .features import FeatureConfig
 from .manifest import materialize, synth_multilabel, save_manifest
-from .train import (evaluate, load_splits, load_trained, make_dataset, metric_name,
-                    run_grid, run_training, write_grid_table)
+from .train import (GRID_AXES, evaluate, load_splits, load_trained, make_dataset,
+                    metric_name, prepare_data, run_grid, run_training, write_grid_table)
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -82,20 +81,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _grid_metric(cfg, data_dir: str, cache_dir: str | None):
-    from .train import run_training as _rt
-
-    _, metrics = _rt(cfg, data_dir, cache_dir=cache_dir)
-    return metrics.best_test_metric
-
-
 def _cmd_grid(args) -> int:
     cfg = _load_cfg(args)
     _ensure_run_dir(args.out, args.force)
     seeds = [int(s) for s in args.seeds.split(",")]
-    runner = functools.partial(_grid_metric, data_dir=args.data,
-                               cache_dir=args.features)
-    rows = run_grid(cfg, args.axis, seeds, runner, jobs=args.jobs)
+    train_ds, test_ds, _ = prepare_data(args.data, cfg.T_fix, args.features, args.jobs)
+    rows = run_grid(cfg, args.axis, seeds, train_ds, test_ds, jobs=args.jobs)
     table = os.path.join(args.out, f"grid_{args.axis}.csv")
     write_grid_table(table, args.axis, rows, metric_name(cfg.mode))
     print(f"grid: {len(rows)} runs over {args.axis} -> {table}")
@@ -208,8 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="run a sweep axis")
     common_run(p)
-    p.add_argument("--axis", required=True,
-                   choices=("routing", "caps_dim", "regularization"))
+    p.add_argument("--axis", required=True, choices=tuple(GRID_AXES))
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
     p.set_defaults(fn=_cmd_grid)
 

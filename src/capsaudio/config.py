@@ -7,7 +7,7 @@ carries the complete effective configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -65,17 +65,17 @@ def validate(cfg: RunConfig) -> None:
 def _parse_value(key: str, raw: str):
     f = _FIELDS[key]
     raw = raw.strip()
-    if f.type == "int" or f.type is int:
+    if f.type == "int":
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if f.type == "float" or f.type is float:
+    if f.type == "float":
         try:
             return float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if f.type == "bool" or f.type is bool:
+    if f.type == "bool":
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
@@ -131,7 +131,7 @@ def save_config(path, cfg: RunConfig) -> None:
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     """Apply `key=value` strings on top of a loaded config."""
-    out = RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
+    out = replace(cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")

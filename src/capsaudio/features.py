@@ -60,8 +60,6 @@ class FeatureMatrix:
     """Frames x feature-dims matrix produced by mfcc()."""
 
     data: np.ndarray
-    frame_ms: float = 40.0
-    hop_ms: float = 10.0
 
     @property
     def n_frames(self) -> int:
@@ -154,7 +152,7 @@ def mfcc(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix
     d1 = _deltas(static, cfg.delta_window)
     d2 = _deltas(d1, cfg.delta_window)
     data = np.concatenate([static, d1, d2], axis=1)
-    return FeatureMatrix(data, cfg.frame_ms, cfg.hop_ms)
+    return FeatureMatrix(data)
 
 
 @dataclass
@@ -180,7 +178,7 @@ def apply_scaler(m: FeatureMatrix, s: ScalerParams) -> FeatureMatrix:
     safe = np.where(span > 0, span, 1.0)
     scaled = (m.data - s.minimum) / safe
     scaled[:, span == 0] = 0.0
-    return FeatureMatrix(scaled, m.frame_ms, m.hop_ms)
+    return FeatureMatrix(scaled)
 
 
 CACHE_MAGIC = b"CAFE"

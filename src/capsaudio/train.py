@@ -3,10 +3,11 @@ experiment grid."""
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -337,24 +338,29 @@ def grid_configs(base: RunConfig, axis: str,
     if axis not in GRID_AXES:
         raise ConfigError(f"unknown grid axis {axis!r}; "
                           f"expected one of {sorted(GRID_AXES)}")
-    from dataclasses import replace
-
     fname, values = GRID_AXES[axis]
     return [(value, seed, replace(base, **{fname: value, "seed": seed}))
             for value in values for seed in seeds]
 
 
-def run_grid(base: RunConfig, axis: str, seeds: list[int], runner,
-             jobs: int = 1) -> list[dict]:
-    """Run the sweep; runner(cfg) -> best test metric. jobs > 1 uses a
-    process pool, so runner must then be picklable."""
+def _best_test_metric(train_set: ArrayDataset, test_set: ArrayDataset,
+                      cfg: RunConfig) -> float | None:
+    return train(cfg, train_set, test_set)[1].best_test_metric
+
+
+def run_grid(base: RunConfig, axis: str, seeds: list[int], train_set: ArrayDataset,
+             test_set: ArrayDataset, jobs: int = 1) -> list[dict]:
+    """Train every config of the sweep on the same datasets and return one
+    row per run with its best test metric. jobs > 1 uses a process pool,
+    which sends the datasets with each run."""
     combos = grid_configs(base, axis, seeds)
     cfgs = [cfg for _, _, cfg in combos]
+    fit = functools.partial(_best_test_metric, train_set, test_set)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(runner, cfgs))
+            results = list(pool.map(fit, cfgs))
     else:
-        results = [runner(cfg) for cfg in cfgs]
+        results = [fit(cfg) for cfg in cfgs]
     return [{"axis": axis, "value": value, "seed": seed, "metric": metric}
             for (value, seed, _), metric in zip(combos, results)]
 

@@ -11,7 +11,7 @@ from capsaudio.errors import ConfigError, FormatError
 from capsaudio.features import ScalerParams, read_cache
 from capsaudio.manifest import load_manifest, materialize
 from capsaudio.synthdata import make_digit_dataset
-from capsaudio.train import run_training
+from capsaudio.train import make_dataset, run_training
 
 
 # --- augment ------------------------------------------------------------------
@@ -211,6 +211,17 @@ def test_transfer_export_appends_constant_dims(digit_run, tmp_path):
         assert np.array_equal(aug.data[:, :60], plain.data)
         # appended dims constant across frames
         assert np.all(aug.data[:, 60:] == aug.data[0, 60:])
+
+
+def test_transfer_export_dims_are_the_eval_path_capsules(digit_run, tmp_path):
+    data_dir, trained = digit_run
+    man = load_manifest(os.path.join(data_dir, "test.csv"), "test")
+    written = export_transfer_features(trained, man, data_dir, str(tmp_path / "x"))
+    X = make_dataset(man, materialize(man, data_dir), man.class_names,
+                     trained.scaler, trained.cfg.T_fix).X
+    want = trained.caps_vectors(X).reshape(len(written), -1).astype(np.float32)
+    got = np.stack([read_cache(path).data[0, 60:] for path in written])
+    np.testing.assert_array_equal(got, want)
 
 
 def test_transfer_export_zero_capsules_zero_dims(digit_run, tmp_path):

@@ -3,9 +3,10 @@ import shutil
 
 import pytest
 
+from capsaudio import manifest
 from capsaudio.cli import dispatch
 from capsaudio.config import load_config
-from capsaudio.features import read_cache
+from capsaudio.features import mfcc, read_cache
 from capsaudio.manifest import DatasetManifest, load_manifest, save_manifest
 from capsaudio.synthdata import make_digit_dataset
 from capsaudio.train import read_metrics_rows
@@ -151,6 +152,22 @@ def test_grid_table(tiny_data, tiny_cfg_file, tmp_path):
     lines = open(table).read().splitlines()
     assert lines[1] == "axis,value,seed,best_test_metric"
     assert len(lines) == 4  # header comment + columns + 2 rows
+
+
+def test_grid_computes_each_clip_once(tiny_data, tiny_cfg_file, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mfcc(*args)
+
+    monkeypatch.setattr(manifest, "mfcc", counted)
+    code = dispatch(["grid", "--config", tiny_cfg_file, "--data", tiny_data,
+                     "--out", str(tmp_path / "grid"), "--axis", "regularization",
+                     "--seeds", "0,1"])
+    assert code == 0
+    mans = [load_manifest(os.path.join(tiny_data, f"{s}.csv"), s) for s in ("train", "test")]
+    assert len(calls) == len({e.path for m in mans for e in m.entries})
 
 
 def test_gradcheck_verb(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from capsaudio.config import RunConfig
 from capsaudio.errors import ConfigError
-from capsaudio.train import grid_configs, run_grid, train, write_grid_table
+from capsaudio.train import grid_configs, run_grid, write_grid_table
 from test_train import separable_dataset, tiny_cfg
 
 
@@ -40,14 +40,9 @@ def test_base_config_not_mutated():
     assert base.caps_dim == 16 and base.seed == 0
 
 
-def _metric_for(cfg):
-    ds = separable_dataset(jitter=0.02)
-    _, metrics = train(cfg, ds, ds)
-    return metrics.best_test_metric
-
-
 def test_run_grid_serial():
-    rows = run_grid(tiny_cfg(epochs=2), "regularization", [0], _metric_for)
+    ds = separable_dataset(jitter=0.02)
+    rows = run_grid(tiny_cfg(epochs=2), "regularization", [0], ds, ds)
     assert len(rows) == 2
     assert rows[0]["value"] is False and rows[1]["value"] is True
     assert all(0.0 <= r["metric"] <= 1.0 for r in rows)
@@ -56,8 +51,9 @@ def test_run_grid_serial():
 @pytest.mark.slow
 def test_run_grid_parallel_matches_serial():
     cfg = tiny_cfg(epochs=2)
-    serial = run_grid(cfg, "regularization", [0, 1], _metric_for, jobs=1)
-    parallel = run_grid(cfg, "regularization", [0, 1], _metric_for, jobs=2)
+    ds = separable_dataset(jitter=0.02)
+    serial = run_grid(cfg, "regularization", [0, 1], ds, ds, jobs=1)
+    parallel = run_grid(cfg, "regularization", [0, 1], ds, ds, jobs=2)
     assert serial == parallel
 
 
