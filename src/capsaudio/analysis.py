@@ -10,7 +10,7 @@ import numpy as np
 
 from .audio import AudioClip, resample_linear
 from .errors import ConfigError, FormatError
-from .features import FeatureMatrix, apply_scaler, mfcc, write_cache
+from .features import apply_scaler, mfcc, write_cache
 from .manifest import DatasetManifest, materialize
 from .train import TrainedModel, make_dataset, pad_to
 
@@ -93,8 +93,7 @@ def capsule_scatter(trained: TrainedModel,
     """
     if trained.scaler is None:
         raise ConfigError("checkpoint carries no feature scaler")
-    X = np.stack([pad_to(apply_scaler(mfcc(clip), trained.scaler).data,
-                         trained.cfg.T_fix)
+    X = np.stack([pad_to(apply_scaler(mfcc(clip), trained.scaler), trained.cfg.T_fix)
                   for clip, _ in clips_with_levels])
     caps = trained.caps_vectors(X)  # raises ConfigError unless a caps model
     n_classes = trained.n_classes
@@ -141,17 +140,17 @@ def export_transfer_features(trained: TrainedModel, manifest: DatasetManifest,
     expected_dims = trained.scaler.minimum.shape[0]
     mats = materialize(manifest, root)
     for entry, m in zip(manifest.entries, mats):
-        if m.n_dims != expected_dims:
-            raise FormatError(f"{entry.path}: {m.n_dims} feature dims collide with "
+        if m.shape[1] != expected_dims:
+            raise FormatError(f"{entry.path}: {m.shape[1]} feature dims collide with "
                               f"the checkpoint scaler's {expected_dims}")
     X = make_dataset(manifest, mats, manifest.class_names, trained.scaler,
                      trained.cfg.T_fix).X
     caps = trained.caps_vectors(X).reshape(len(mats), -1)
     written = []
     for entry, m, vec in zip(manifest.entries, mats, caps):
-        extra = np.broadcast_to(vec, (m.n_frames, vec.size))
+        extra = np.broadcast_to(vec, (m.shape[0], vec.size))
         path = os.path.join(out_dir, entry.path + ".cafe")
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        write_cache(path, FeatureMatrix(np.concatenate([m.data, extra], axis=1)))
+        write_cache(path, np.concatenate([m, extra], axis=1))
         written.append(path)
     return written

@@ -130,6 +130,8 @@ def load_wav(path, target_rate: int | None = TARGET_RATE) -> AudioClip:
     tag, n_channels, rate, bits = fmt
     if n_channels < 1:
         raise ParseError("fmt chunk declares zero channels")
+    if rate == 0:
+        raise ParseError("fmt chunk declares sample rate 0")
     if tag not in (_FMT_PCM, _FMT_FLOAT):
         raise UnsupportedFormat(f"compressed or unknown codec (format tag {tag})")
 

@@ -8,8 +8,6 @@ flow through the fully unrolled routing iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -17,10 +15,14 @@ from .autodiff import Tensor
 from .errors import ShapeError
 from .layers import Dense, Module, glorot
 
+# Margin-loss length targets for present and absent classes (Sabour et al. 2017).
+M_PLUS = 0.9
+M_MINUS = 0.1
 
-def squash(s: Tensor, axis: int = -1) -> Tensor:
-    """v = (|s|^2 / (1 + |s|^2)) * s / |s|; maps 0 to 0, |v| < 1."""
-    n = ad.l2norm(s, axis=axis, keepdims=True)
+
+def squash(s: Tensor) -> Tensor:
+    """v = (|s|^2 / (1 + |s|^2)) * s / |s| over the last axis; maps 0 to 0, |v| < 1."""
+    n = ad.l2norm(s, axis=-1, keepdims=True)
     return s * (n / (ad.square(n) + 1.0))
 
 
@@ -64,7 +66,7 @@ class CapsuleLayer(Module):
             if collect_couplings is not None:
                 collect_couplings.append(c.data.copy())
             s = ad.tsum(uhat * ad.reshape(c, (B, P, C, 1)), axis=1)
-            v = squash(s, axis=-1)
+            v = squash(s)
             if it < self.routing_iters - 1:
                 agreement = ad.tsum(uhat * ad.reshape(v, (B, 1, C, D)), axis=-1)
                 b = b + agreement
@@ -76,21 +78,14 @@ def length_layer(caps: Tensor) -> Tensor:
     return ad.l2norm(caps, axis=-1, keepdims=False)
 
 
-@dataclass(frozen=True)
-class MarginLossParams:
-    m_plus: float = 0.9
-    m_minus: float = 0.1
-    lam: float = 0.5  # 0.5 single-label, 1.0 multi-label
-
-
-def margin_loss(lengths: Tensor, targets: np.ndarray,
-                p: MarginLossParams = MarginLossParams()) -> Tensor:
-    """Hinge-squared class loss, summed over classes and averaged over batch."""
+def margin_loss(lengths: Tensor, targets: np.ndarray, lam: float = 0.5) -> Tensor:
+    """Hinge-squared class loss, summed over classes and averaged over batch;
+    lam weights absent classes (0.5 single-label, 1.0 multi-label)."""
     if lengths.data.shape != targets.shape:
         raise ShapeError(f"lengths {lengths.shape} vs targets {targets.shape}")
     t = Tensor(targets)
-    present = t * ad.square(ad.relu(p.m_plus - lengths))
-    absent = (1.0 - t) * ad.square(ad.relu(lengths - p.m_minus)) * p.lam
+    present = t * ad.square(ad.relu(M_PLUS - lengths))
+    absent = (1.0 - t) * ad.square(ad.relu(lengths - M_MINUS)) * lam
     return ad.tmean(ad.tsum(present + absent, axis=1))
 
 

@@ -26,6 +26,22 @@ from .train import (GRID_AXES, evaluate, load_splits, load_trained, make_dataset
 GRADCHECK_TOLERANCE = 1e-4
 
 
+def _comma_list(kind):
+    """An argparse type: a comma-separated tuple of kind values."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(x) for x in text.split(","))
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _ensure_run_dir(path: str, force: bool) -> None:
     if os.path.isdir(path) and os.listdir(path) and not force:
         raise ConfigError(f"run directory {path} exists and is not empty "
@@ -84,9 +100,8 @@ def _cmd_eval(args) -> int:
 def _cmd_grid(args) -> int:
     cfg = _load_cfg(args)
     _ensure_run_dir(args.out, args.force)
-    seeds = [int(s) for s in args.seeds.split(",")]
     train_ds, test_ds, _ = prepare_data(args.data, cfg.T_fix, args.features, args.jobs)
-    rows = run_grid(cfg, args.axis, seeds, train_ds, test_ds, jobs=args.jobs)
+    rows = run_grid(cfg, args.axis, args.seeds, train_ds, test_ds, jobs=args.jobs)
     table = os.path.join(args.out, f"grid_{args.axis}.csv")
     write_grid_table(table, args.axis, rows, metric_name(cfg.mode))
     print(f"grid: {len(rows)} runs over {args.axis} -> {table}")
@@ -119,11 +134,8 @@ def _cmd_analyze(args) -> int:
                           f"(classes: {', '.join(class_names)})")
     class_index = class_names.index(args.target_class)
 
-    if args.levels:
-        levels = tuple(float(x) for x in args.levels.split(","))
-    else:
-        levels = (DEFAULT_AMPLITUDE_LEVELS if args.kind == "amplitude"
-                  else DEFAULT_SPEED_LEVELS)
+    levels = args.levels or (DEFAULT_AMPLITUDE_LEVELS if args.kind == "amplitude"
+                             else DEFAULT_SPEED_LEVELS)
     spec = AugmentSpec(args.kind, levels)
 
     pairs = []
@@ -200,11 +212,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="run a sweep axis")
     common_run(p)
     p.add_argument("--axis", required=True, choices=tuple(GRID_AXES))
-    p.add_argument("--seeds", default="0", help="comma-separated seed list")
+    p.add_argument("--seeds", type=_comma_list(int), default="0",
+                   help="comma-separated seed list")
     p.set_defaults(fn=_cmd_grid)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient table")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--out", default=None, help="also write the table here")
     p.set_defaults(fn=_cmd_gradcheck)
 
@@ -213,7 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--kind", required=True, choices=("amplitude", "speed"))
     p.add_argument("--target-class", required=True)
-    p.add_argument("--levels", default=None, help="comma-separated levels")
+    p.add_argument("--levels", type=_comma_list(float), default=None,
+                   help="comma-separated levels")
     p.add_argument("--split", default="test", choices=("train", "test"))
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")

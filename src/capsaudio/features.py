@@ -5,6 +5,7 @@ mel filterbank, log, orthonormal DCT-II. The static vector is 19 cepstral
 coefficients (DCT rows 1..19, row 0 dropped since log frame energy is carried
 separately) plus the log energy of the pre-emphasized, windowed frame. First
 and second regression derivatives over the 20 static dims give 60 dims total.
+A feature matrix is a plain [frames, dims] float64 array.
 """
 
 from __future__ import annotations
@@ -53,21 +54,6 @@ class FeatureConfig:
     @property
     def n_dims(self) -> int:
         return 3 * self.n_static  # static + delta + delta-delta
-
-
-@dataclass
-class FeatureMatrix:
-    """Frames x feature-dims matrix produced by mfcc()."""
-
-    data: np.ndarray
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_dims(self) -> int:
-        return self.data.shape[1]
 
 
 def n_frames_for(n_samples: int, cfg: FeatureConfig) -> int:
@@ -121,8 +107,8 @@ def _deltas(x: np.ndarray, half: int) -> np.ndarray:
     return out / denom
 
 
-def mfcc(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
-    """Extract the 60-dim MFCC(+energy) + delta + delta-delta feature matrix."""
+def mfcc(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """The [frames, 60] float64 array of MFCC(+energy) + delta + delta-delta."""
     x = clip.samples
     if clip.sample_rate != cfg.sample_rate:
         raise ShapeError(
@@ -151,8 +137,7 @@ def mfcc(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix
     static = np.concatenate([ceps, log_energy[:, None]], axis=1)
     d1 = _deltas(static, cfg.delta_window)
     d2 = _deltas(d1, cfg.delta_window)
-    data = np.concatenate([static, d1, d2], axis=1)
-    return FeatureMatrix(data)
+    return np.concatenate([static, d1, d2], axis=1)
 
 
 @dataclass
@@ -163,39 +148,39 @@ class ScalerParams:
     maximum: np.ndarray
 
 
-def fit_scaler(train: list[FeatureMatrix]) -> ScalerParams:
+def fit_scaler(train: list[np.ndarray]) -> ScalerParams:
     if not train:
         raise ShapeError("cannot fit a scaler on an empty training set")
-    stacked = np.concatenate([m.data for m in train], axis=0)
+    stacked = np.concatenate(train, axis=0)
     return ScalerParams(stacked.min(axis=0), stacked.max(axis=0))
 
 
-def apply_scaler(m: FeatureMatrix, s: ScalerParams) -> FeatureMatrix:
+def apply_scaler(m: np.ndarray, s: ScalerParams) -> np.ndarray:
     """x' = (x - min) / (max - min); a constant dim maps to 0; no clipping."""
-    if m.n_dims != s.minimum.shape[0]:
-        raise ShapeError(f"matrix has {m.n_dims} dims, scaler has {s.minimum.shape[0]}")
+    if m.shape[1] != s.minimum.shape[0]:
+        raise ShapeError(f"matrix has {m.shape[1]} dims, scaler has {s.minimum.shape[0]}")
     span = s.maximum - s.minimum
     safe = np.where(span > 0, span, 1.0)
-    scaled = (m.data - s.minimum) / safe
+    scaled = (m - s.minimum) / safe
     scaled[:, span == 0] = 0.0
-    return FeatureMatrix(scaled)
+    return scaled
 
 
 CACHE_MAGIC = b"CAFE"
 
 
-def write_cache(path, m: FeatureMatrix) -> None:
+def write_cache(path, m: np.ndarray) -> None:
     """Binary cache: magic CAFE, u32 n_frames, u32 n_dims, row-major f32.
 
     The write is atomic (atomic.atomic_write), so a concurrent reader that
     finds path sees a whole file.
     """
-    payload = np.ascontiguousarray(m.data, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(m, dtype="<f4").tobytes()
     with atomic_write(path) as fh:
-        fh.write(CACHE_MAGIC + struct.pack("<II", m.n_frames, m.n_dims) + payload)
+        fh.write(CACHE_MAGIC + struct.pack("<II", *m.shape) + payload)
 
 
-def read_cache(path) -> FeatureMatrix:
+def read_cache(path) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != CACHE_MAGIC:
@@ -206,4 +191,4 @@ def read_cache(path) -> FeatureMatrix:
         raise FormatError(f"{path}: payload is {len(raw) - 12} bytes, "
                           f"header implies {expected - 12}")
     data = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64)
-    return FeatureMatrix(data.reshape(n_frames, n_dims))
+    return data.reshape(n_frames, n_dims)

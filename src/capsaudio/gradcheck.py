@@ -7,8 +7,8 @@ check draws its inputs; a module check draws its input and one array for
 every entry of the module's params() and puts them in place through
 Module.set, so it perturbs every parameter the module names.
 The analytic gradient from the tape is compared element-wise against
-(f(x+h) - f(x-h)) / 2h in float64. Relative error uses a 1e-2 scale floor
-so finite-difference roundoff on true-zero gradients does not register.
+(f(x+h) - f(x-h)) / 2h, h = FD_STEP, in float64. Relative error uses a 1e-2
+scale floor so finite-difference roundoff on true-zero gradients does not register.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor
-from .capsnet import CapsuleLayer, Decoder, MarginLossParams, length_layer, margin_loss, mae, squash
+from .capsnet import CapsuleLayer, Decoder, length_layer, margin_loss, mae, squash
 from .layers import AttentionPool, BatchNorm, BiLSTM
 from .models import CapsModel
 
@@ -30,7 +30,7 @@ def _loss_value(build, arrays) -> float:
     return float(build([Tensor(a) for a in arrays]).data)
 
 
-def gradcheck(build, arrays, h: float = FD_STEP) -> float:
+def gradcheck(build, arrays) -> float:
     """Max relative error between tape gradients and central differences."""
     arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
@@ -46,12 +46,12 @@ def gradcheck(build, arrays, h: float = FD_STEP) -> float:
         an_flat = analytic[k].ravel()
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + h
+            flat[i] = saved + FD_STEP
             fp = _loss_value(build, arrays)
-            flat[i] = saved - h
+            flat[i] = saved - FD_STEP
             fm = _loss_value(build, arrays)
             flat[i] = saved
-            fd = (fp - fm) / (2.0 * h)
+            fd = (fp - fm) / (2.0 * FD_STEP)
             err = abs(an_flat[i] - fd) / max(abs(an_flat[i]), abs(fd), REL_FLOOR)
             worst = max(worst, err)
     return worst
@@ -140,10 +140,10 @@ def _make_reduce(op):
 
 
 def _make_margin(rng):
-    # Lengths sampled clear of the hinge kinks at m_minus and m_plus.
+    # Lengths sampled clear of the hinge kinks at M_MINUS and M_PLUS.
     lengths = rng.uniform(0.15, 0.85, size=(2, 4))
     targets = (rng.random((2, 4)) < 0.5).astype(np.float64)
-    return [lengths], lambda ts: margin_loss(ts[0], targets, MarginLossParams(lam=0.5))
+    return [lengths], lambda ts: margin_loss(ts[0], targets, lam=0.5)
 
 
 def _make_full_model(rng):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .audio import AudioClip, load_wav, write_wav
 from .errors import InsufficientData, MissingFile, ParseError
-from .features import FeatureConfig, FeatureMatrix, mfcc, read_cache, write_cache
+from .features import FeatureConfig, mfcc, read_cache, write_cache
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,16 @@ def _cache_path(cache_dir: str, rel: str) -> str:
 
 def materialize(manifest: DatasetManifest, root: str,
                 cfg: FeatureConfig = FeatureConfig(),
-                cache_dir: str | None = None, jobs: int = 1) -> list[FeatureMatrix]:
-    """Compute (or load cached) feature matrices, keyed by entry index.
+                cache_dir: str | None = None, jobs: int = 1) -> list[np.ndarray]:
+    """Compute (or load cached) [frames, dims] feature arrays, by entry index.
 
     Each distinct path is computed once; entries that list the same path
-    share one FeatureMatrix. Matrices round-trip through the f32 cache
-    representation regardless of whether a cache_dir is given, so cached
-    and direct runs are bit-identical.
+    share one array. Arrays round-trip through the f32 cache representation
+    regardless of whether a cache_dir is given, so cached and direct runs
+    are bit-identical.
     """
 
-    def one(rel: str) -> FeatureMatrix:
+    def one(rel: str) -> np.ndarray:
         if cache_dir is not None:
             cpath = _cache_path(cache_dir, rel)
             if os.path.exists(cpath):
@@ -94,8 +94,7 @@ def materialize(manifest: DatasetManifest, root: str,
             os.makedirs(os.path.dirname(cpath) or ".", exist_ok=True)
             write_cache(cpath, m)
             return read_cache(cpath)
-        m.data = m.data.astype(np.float32).astype(np.float64)
-        return m
+        return m.astype(np.float32).astype(np.float64)
 
     paths = list(dict.fromkeys(e.path for e in manifest.entries))
     if jobs <= 1:

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .capsnet import (CapsuleLayer, Decoder, MarginLossParams, decode_reconstruct,
-                      length_layer, margin_loss, squash)
+from .capsnet import (CapsuleLayer, Decoder, decode_reconstruct, length_layer, margin_loss,
+                      squash)
 from .errors import ShapeError
 from .layers import AttentionPool, BatchNorm, BiLSTM, Dense, Module, dropout, mean_pool
 
@@ -46,7 +46,7 @@ class CapsModel(Module):
         self.t_fix = t_fix
         self.dropout_rate = dropout_rate
         self.recon_weight = recon_weight
-        self.margin = MarginLossParams(lam=lam)
+        self.lam = lam
 
     def forward(self, x, training: bool, rng,
                 targets: np.ndarray | None = None) -> ForwardOutput:
@@ -57,13 +57,13 @@ class CapsModel(Module):
         h = self.lstm1(h)
         h = self.lstm2(h)
         h = dropout(h, self.dropout_rate, training, rng)
-        u = squash(h, axis=-1)  # primary capsules, one per timestep
+        u = squash(h)  # primary capsules, one per timestep
         v = self.caps(u)
         lengths = length_layer(v)
 
         loss = None
         if targets is not None:
-            loss = margin_loss(lengths, targets, self.margin)
+            loss = margin_loss(lengths, targets, self.lam)
             if self.decoder is not None:
                 _, recon_loss = decode_reconstruct(v, targets, self.decoder, x)
                 loss = loss + recon_loss * self.recon_weight

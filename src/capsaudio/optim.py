@@ -10,6 +10,10 @@ from .autodiff import Tensor
 # in cache, rather than as ~14 passes over each parameter-sized array.
 CHUNK = 32768
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Adam (Kingma & Ba 2014) over named float64 parameters.
@@ -19,17 +23,14 @@ class Adam:
     update into a new C-contiguous array, so snapshots taken between steps
     stay valid. The arithmetic is, element by element and rounded in this
     order, ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*(g*g)``
-    and ``p - lr*(m/b1t) / (sqrt(v/b2t) + eps)``. The module constant
+    and ``p - lr*(m/b1t) / (sqrt(v/b2t) + eps)``, with beta1, beta2 and eps
+    the module constants ``BETA1``, ``BETA2`` and ``EPS``. The module constant
     ``CHUNK`` only sets how many elements each block of the walk covers;
     results do not depend on it.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -42,10 +43,9 @@ class Adam:
         Gradients are cleared afterwards.
         """
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        beta1, beta2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        c1, c2 = 1.0 - beta1, 1.0 - beta2
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
+        c1, c2 = 1.0 - BETA1, 1.0 - BETA2
         for name, p in params.items():
             if name not in self.m:
                 self.m[name] = np.zeros(p.data.shape)
@@ -56,18 +56,18 @@ class Adam:
             for lo in range(0, new.size, CHUNK):
                 pc, gc, mc, vc, out = (x[lo:lo + CHUNK] for x in flat)
                 a, b = self._a[: out.size], self._b[: out.size]
-                np.multiply(mc, beta1, out=mc)
+                np.multiply(mc, BETA1, out=mc)
                 np.multiply(gc, c1, out=a)
                 np.add(mc, a, out=mc)
-                np.multiply(vc, beta2, out=vc)
+                np.multiply(vc, BETA2, out=vc)
                 np.multiply(gc, gc, out=a)
                 np.multiply(a, c2, out=a)
                 np.add(vc, a, out=vc)
                 np.divide(vc, b2t, out=a)
                 np.sqrt(a, out=a)
-                np.add(a, eps, out=a)
+                np.add(a, EPS, out=a)
                 np.divide(mc, b1t, out=b)
-                np.multiply(b, lr, out=b)
+                np.multiply(b, self.lr, out=b)
                 np.divide(b, a, out=b)
                 np.subtract(pc, b, out=out)
             p.data = new

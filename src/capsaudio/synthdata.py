@@ -28,6 +28,10 @@ SPEAKERS = [
     (170.0, 1.06, 0.8),
 ]
 
+NOISE_LEVEL = 0.3              # noise std, as a fraction of the clean clip's RMS
+DURATION_RANGE = (0.30, 0.45)  # utterance length, seconds
+TEST_SPEAKER = 2               # held out as the test split
+
 # Second-formant order is permuted so (F1, F2) pairs decorrelate.
 _F2_ORDER = [3, 7, 0, 5, 9, 1, 6, 2, 8, 4]
 
@@ -38,12 +42,10 @@ def digit_formants(digit: int) -> tuple[float, float]:
     return f1, f2
 
 
-def synth_digit_clip(digit: int, speaker: int, rng: np.random.Generator,
-                     noise_level: float = 0.3,
-                     duration_range: tuple[float, float] = (0.30, 0.45)) -> AudioClip:
+def synth_digit_clip(digit: int, speaker: int, rng: np.random.Generator) -> AudioClip:
     """One synthetic utterance of `digit` by `speaker`."""
     f0_base, formant_scale, sharp = SPEAKERS[speaker % len(SPEAKERS)]
-    dur = rng.uniform(*duration_range)
+    dur = rng.uniform(*DURATION_RANGE)
     n = int(dur * SOURCE_RATE)
     t = np.arange(n) / SOURCE_RATE
 
@@ -75,7 +77,7 @@ def synth_digit_clip(digit: int, speaker: int, rng: np.random.Generator,
     x *= env
 
     rms = np.sqrt(np.mean(x * x)) + 1e-12
-    x += rng.normal(0.0, noise_level * rms, size=n)
+    x += rng.normal(0.0, NOISE_LEVEL * rms, size=n)
     peak = np.max(np.abs(x)) + 1e-12
     x *= rng.uniform(0.35, 0.45) / peak
     # Envelope-shaped positive pressure bias, like the asymmetry of real
@@ -85,11 +87,10 @@ def synth_digit_clip(digit: int, speaker: int, rng: np.random.Generator,
 
 
 def make_digit_dataset(out_dir: str, digits=range(10), clips_per: int = 4,
-                       seed: int = 0, test_speaker: int = 2,
-                       noise_level: float = 0.3) -> tuple[str, str]:
+                       seed: int = 0) -> tuple[str, str]:
     """Write WAVs plus train.csv / test.csv under out_dir.
 
-    Every speaker except `test_speaker` contributes to the train split; the
+    Every speaker except TEST_SPEAKER contributes to the train split; the
     held-out speaker forms the test split. Returns the two manifest paths.
     """
     rng = np.random.default_rng(seed)
@@ -100,10 +101,10 @@ def make_digit_dataset(out_dir: str, digits=range(10), clips_per: int = 4,
     for digit in digits:
         for speaker in range(len(SPEAKERS)):
             for k in range(clips_per):
-                clip = synth_digit_clip(digit, speaker, rng, noise_level)
+                clip = synth_digit_clip(digit, speaker, rng)
                 rel = f"wav/spk{speaker}_dig{digit}_{k}.wav"
                 write_wav(os.path.join(out_dir, rel), clip)
-                split = "test" if speaker == test_speaker else "train"
+                split = "test" if speaker == TEST_SPEAKER else "train"
                 splits[split].append(ManifestEntry(rel, frozenset({f"digit_{digit}"})))
 
     paths = []

@@ -52,7 +52,7 @@ def pad_to(mat: np.ndarray, t_fix: int) -> np.ndarray:
 
 def make_dataset(manifest, mats, class_names: list[str], scaler: ScalerParams,
                  t_fix: int) -> ArrayDataset:
-    X = np.stack([pad_to(apply_scaler(m, scaler).data, t_fix) for m in mats])
+    X = np.stack([pad_to(apply_scaler(m, scaler), t_fix) for m in mats])
     return ArrayDataset(X, targets_for(manifest, class_names), class_names)
 
 

@@ -14,7 +14,7 @@ from capsaudio.analysis import (AugmentSpec, DEFAULT_AMPLITUDE_LEVELS, augment,
                                 capsule_scatter)
 from capsaudio.audio import AudioClip, load_wav, write_wav
 from capsaudio.autodiff import Tensor
-from capsaudio.capsnet import CapsuleLayer, MarginLossParams, margin_loss, squash
+from capsaudio.capsnet import CapsuleLayer, margin_loss, squash
 from capsaudio.config import RunConfig
 from capsaudio.features import mfcc
 from capsaudio.gradcheck import full_model_check, run_suite
@@ -146,15 +146,12 @@ def test_c2_routing_invariants(report):
 def test_c3_margin_loss_table(report):
     inside = float(margin_loss(Tensor([[0.95]]), np.array([[1.0]])).data)
     present_zero = float(margin_loss(Tensor([[0.0]]), np.array([[1.0]])).data)
-    absent = float(margin_loss(Tensor([[0.3]]), np.array([[0.0]]),
-                               MarginLossParams(lam=0.5)).data)
+    absent = float(margin_loss(Tensor([[0.3]]), np.array([[0.0]]), lam=0.5).data)
 
     lengths = np.random.default_rng(1).uniform(0, 1, size=(4, 6))
     targets = np.zeros((4, 6))
-    half = float(margin_loss(Tensor(lengths), targets,
-                             MarginLossParams(lam=0.5)).data)
-    full = float(margin_loss(Tensor(lengths), targets,
-                             MarginLossParams(lam=1.0)).data)
+    half = float(margin_loss(Tensor(lengths), targets, lam=0.5).data)
+    full = float(margin_loss(Tensor(lengths), targets, lam=1.0).data)
 
     ok = (inside == 0.0
           and present_zero == 0.9 ** 2
@@ -360,7 +357,7 @@ def test_c9_feature_oracle(report):
     worst = 0.0
     for _ in range(100):
         samples = rng.uniform(-0.8, 0.8, size=640)  # exactly one frame
-        prod = mfcc(AudioClip(samples, 16000)).data
+        prod = mfcc(AudioClip(samples, 16000))
         ref = naive_mfcc(samples)
         worst = max(worst, np.abs(prod - ref).max() / np.abs(ref).max())
     ok = worst <= 1e-6

@@ -206,11 +206,11 @@ def test_transfer_export_appends_constant_dims(digit_run, tmp_path):
     extra_dims = 2 * 4  # n_src_classes * caps_dim
     for entry, path, plain in zip(man.entries, written, base):
         aug = read_cache(path)
-        assert aug.n_dims == 60 + extra_dims
+        assert aug.shape[1] == 60 + extra_dims
         # original dims bit-identical to the plain cache
-        assert np.array_equal(aug.data[:, :60], plain.data)
+        assert np.array_equal(aug[:, :60], plain)
         # appended dims constant across frames
-        assert np.all(aug.data[:, 60:] == aug.data[0, 60:])
+        assert np.all(aug[:, 60:] == aug[0, 60:])
 
 
 def test_transfer_export_dims_are_the_eval_path_capsules(digit_run, tmp_path):
@@ -220,7 +220,7 @@ def test_transfer_export_dims_are_the_eval_path_capsules(digit_run, tmp_path):
     X = make_dataset(man, materialize(man, data_dir), man.class_names,
                      trained.scaler, trained.cfg.T_fix).X
     want = trained.caps_vectors(X).reshape(len(written), -1).astype(np.float32)
-    got = np.stack([read_cache(path).data[0, 60:] for path in written])
+    got = np.stack([read_cache(path)[0, 60:] for path in written])
     np.testing.assert_array_equal(got, want)
 
 
@@ -233,7 +233,7 @@ def test_transfer_export_zero_capsules_zero_dims(digit_run, tmp_path):
         written = export_transfer_features(trained, man, data_dir,
                                            str(tmp_path / "zero"))
         aug = read_cache(written[0])
-        np.testing.assert_array_equal(aug.data[:, 60:], 0.0)
+        np.testing.assert_array_equal(aug[:, 60:], 0.0)
     finally:
         trained.model.caps.W.data = saved
 

@@ -58,6 +58,12 @@ def test_missing_file(tmp_path):
         load_wav(tmp_path / "nope.wav")
 
 
+def test_zero_sample_rate(tmp_path):
+    raw = wav_bytes(struct.pack("<4h", 1, 2, 3, 4), rate=0)
+    with pytest.raises(ParseError, match="sample rate 0"):
+        load_wav(write(tmp_path, raw))
+
+
 def test_compressed_codec_rejected(tmp_path):
     # format tag 85 = MP3 inside RIFF
     raw = wav_bytes(b"\x00\x00", fmt=85)

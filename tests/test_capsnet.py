@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from capsaudio.autodiff import Tensor
-from capsaudio.capsnet import (CapsuleLayer, Decoder, MarginLossParams,
-                               decode_reconstruct, length_layer, mae,
-                               margin_loss, predict, squash)
+from capsaudio.capsnet import (CapsuleLayer, Decoder, decode_reconstruct, length_layer,
+                               mae, margin_loss, predict, squash)
 from capsaudio.errors import ShapeError
 
 
@@ -175,8 +174,7 @@ def test_margin_present_zero_length():
 
 
 def test_margin_absent_point_three():
-    loss = margin_loss(Tensor([[0.3]]), np.array([[0.0]]),
-                       MarginLossParams(lam=0.5))
+    loss = margin_loss(Tensor([[0.3]]), np.array([[0.0]]), lam=0.5)
     hand = 0.5 * max(0.0, 0.3 - 0.1) ** 2
     assert float(loss.data) == hand              # identical f64 arithmetic
     assert float(loss.data) == pytest.approx(0.02, abs=1e-12)
@@ -185,15 +183,15 @@ def test_margin_absent_point_three():
 def test_margin_lambda_doubles_absent_terms(rng):
     lengths = rng.uniform(0.0, 1.0, size=(3, 5))
     targets = np.zeros((3, 5))  # all absent
-    half = margin_loss(Tensor(lengths), targets, MarginLossParams(lam=0.5))
-    full = margin_loss(Tensor(lengths), targets, MarginLossParams(lam=1.0))
+    half = margin_loss(Tensor(lengths), targets, lam=0.5)
+    full = margin_loss(Tensor(lengths), targets, lam=1.0)
     assert float(full.data) == 2.0 * float(half.data)
 
 
 def test_margin_sums_classes_means_batch():
     lengths = np.array([[0.0, 0.3], [0.95, 0.05]])
     targets = np.array([[1.0, 0.0], [1.0, 0.0]])
-    loss = margin_loss(Tensor(lengths), targets, MarginLossParams(lam=0.5))
+    loss = margin_loss(Tensor(lengths), targets, lam=0.5)
     row0 = 0.9 ** 2 + 0.5 * 0.2 ** 2
     row1 = 0.0
     assert float(loss.data) == pytest.approx((row0 + row1) / 2.0, abs=1e-15)

@@ -45,6 +45,22 @@ def test_usage_errors():
     assert dispatch([]) == 2
     assert dispatch(["unknown-verb"]) == 2
     assert dispatch(["train"]) == 2  # missing required flags
+    assert dispatch(["gradcheck", "--trials", "0"]) == 2  # would check nothing
+
+
+def test_bad_seed_list_is_usage_error(tiny_data, tiny_cfg_file, tmp_path, capsys):
+    code = dispatch(["grid", "--config", tiny_cfg_file, "--data", tiny_data,
+                     "--out", str(tmp_path / "g"), "--axis", "routing", "--seeds", "0,,1"])
+    assert code == 2
+    assert "argument --seeds" in capsys.readouterr().err
+
+
+def test_bad_level_list_is_usage_error(run_dir, tiny_data, tmp_path, capsys):
+    code = dispatch(["analyze", "--checkpoint", os.path.join(run_dir, "checkpoint.cpsn"),
+                     "--data", tiny_data, "--kind", "amplitude", "--target-class",
+                     "digit_1", "--out", str(tmp_path / "s"), "--levels", "0.9,x"])
+    assert code == 2
+    assert "argument --levels" in capsys.readouterr().err
 
 
 def test_train_run_dir_contents(run_dir, tiny_cfg_file):
@@ -127,7 +143,7 @@ def test_features_verb_writes_cache(tiny_data, tmp_path):
     cached = [os.path.join(dp, f) for dp, _, fs in os.walk(cache) for f in fs]
     assert len(cached) == 12  # 2 digits x 2 clips x 3 speakers
     m = read_cache(cached[0])
-    assert m.n_dims == 60
+    assert m.shape[1] == 60
 
 
 def test_train_from_feature_cache_matches_direct(run_dir, tiny_data,
@@ -221,7 +237,7 @@ def test_transfer_verb(run_dir, tiny_data, tmp_path):
     files = [os.path.join(dp, f) for dp, _, fs in os.walk(out) for f in fs
              if f.endswith(".cafe")]
     assert len(files) == 12
-    assert read_cache(files[0]).n_dims == 60 + 2 * 4
+    assert read_cache(files[0]).shape[1] == 60 + 2 * 4
 
 
 def test_transfer_on_baseline_is_config_error(tiny_data, tiny_cfg_file, tmp_path, capsys):

@@ -3,9 +3,8 @@ import pytest
 
 from capsaudio.audio import AudioClip
 from capsaudio.errors import FormatError, InputTooShort, ShapeError
-from capsaudio.features import (FeatureConfig, FeatureMatrix, apply_scaler,
-                                fit_scaler, mfcc, n_frames_for, read_cache,
-                                write_cache)
+from capsaudio.features import (FeatureConfig, apply_scaler, fit_scaler, mfcc, n_frames_for,
+                                read_cache, write_cache)
 from reference_mfcc import direct_dft_magnitude, naive_mfcc
 
 CFG = FeatureConfig()
@@ -22,16 +21,15 @@ def rel_err(a, b):
 
 def test_frame_count_one_second():
     m = mfcc(sine_clip(seconds=1.0))
-    assert m.n_frames == 97
-    assert m.n_dims == 60
+    assert m.shape == (97, 60)
 
 
 def test_frame_count_formula_random_lengths(rng):
     for _ in range(50):
         n = int(rng.integers(CFG.frame_len, 4 * CFG.frame_len))
         clip = AudioClip(rng.normal(size=n) * 0.1, 16000)
-        assert mfcc(clip).n_frames == 1 + (n - CFG.frame_len) // CFG.hop_len
-        assert mfcc(clip).n_frames == n_frames_for(n, CFG)
+        assert mfcc(clip).shape[0] == 1 + (n - CFG.frame_len) // CFG.hop_len
+        assert mfcc(clip).shape[0] == n_frames_for(n, CFG)
 
 
 def test_too_short_clip():
@@ -46,20 +44,20 @@ def test_rate_mismatch():
 
 def test_silence_constant_statics_zero_deltas():
     m = mfcc(AudioClip(np.zeros(8000), 16000))
-    static = m.data[:, :20]
+    static = m[:, :20]
     assert np.all(static == static[0])          # constant across frames
-    assert np.all(m.data[:, 20:] == 0.0)        # deltas exactly zero
+    assert np.all(m[:, 20:] == 0.0)        # deltas exactly zero
 
 
 def test_determinism_bit_identical():
     clip = sine_clip()
     a, b = mfcc(clip), mfcc(clip)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_sine_against_naive_reference():
     clip = sine_clip()
-    prod = mfcc(clip).data
+    prod = mfcc(clip)
     ref = naive_mfcc(clip.samples)
     assert prod.shape == ref.shape
     assert rel_err(prod, ref) <= 1e-6
@@ -76,7 +74,7 @@ def test_spectrum_fft_vs_direct_dft(rng):
 # --- scaler ---------------------------------------------------------------
 
 def fm(arr):
-    return FeatureMatrix(np.asarray(arr, dtype=np.float64))
+    return np.asarray(arr, dtype=np.float64)
 
 
 def test_scaler_single_matrix():
@@ -92,27 +90,27 @@ def test_scaler_pools_matrices():
 def test_scaler_examples():
     s = fit_scaler([fm([[1.0], [5.0]])])
     out = apply_scaler(fm([[3.0], [7.0]]), s)
-    np.testing.assert_allclose(out.data[:, 0], [0.5, 1.5])  # no clipping
+    np.testing.assert_allclose(out[:, 0], [0.5, 1.5])  # no clipping
 
 
 def test_scaler_degenerate_dim():
     s = fit_scaler([fm([[2.0], [2.0]])])
     assert s.minimum[0] == s.maximum[0] == 2.0
     out = apply_scaler(fm([[2.0], [9.0]]), s)
-    assert np.all(out.data == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_scaler_dim_mismatch():
     s = fit_scaler([fm([[1.0], [2.0]])])
     with pytest.raises(ShapeError):
-        apply_scaler(FeatureMatrix(np.zeros((2, 3))), s)
+        apply_scaler(np.zeros((2, 3)), s)
 
 
 def test_scaler_unit_range_on_fitted_set(rng):
     mats = [fm(rng.normal(size=(10, 6)) * 5) for _ in range(4)]
     s = fit_scaler(mats)
     for m in mats:
-        out = apply_scaler(m, s).data
+        out = apply_scaler(m, s)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -123,8 +121,8 @@ def test_cache_round_trip(tmp_path, rng):
     path = tmp_path / "m.cafe"
     write_cache(path, m)
     back = read_cache(path)
-    assert back.data.shape == (7, 5)
-    assert np.array_equal(back.data, m.data)  # f32 values survive bit-exactly
+    assert back.shape == (7, 5)
+    assert np.array_equal(back, m)  # f32 values survive bit-exactly
 
 
 def test_cache_layout(tmp_path):

@@ -96,7 +96,7 @@ def test_materialize_parallel_matches_serial(tmp_path):
     serial = materialize(man, str(tmp_path), FeatureConfig(), jobs=1)
     parallel = materialize(man, str(tmp_path), FeatureConfig(), jobs=3)
     for a, b in zip(serial, parallel):
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
 
 def test_materialize_cache_bit_identical(tmp_path):
@@ -107,8 +107,8 @@ def test_materialize_cache_bit_identical(tmp_path):
     again = materialize(man, str(tmp_path), FeatureConfig(),
                         cache_dir=str(tmp_path / "cache"))
     for a, b, c in zip(direct, cached, again):
-        assert np.array_equal(a.data, b.data)
-        assert np.array_equal(b.data, c.data)
+        assert np.array_equal(a, b)
+        assert np.array_equal(b, c)
 
 
 def test_materialize_shared_cache_never_torn(tmp_path):
@@ -116,7 +116,7 @@ def test_materialize_shared_cache_never_torn(tmp_path):
     # cache file read it while others are still writing it.
     write_wav(tmp_path / "a.wav", tone(440))
     man = load_manifest(write_manifest(tmp_path, "a.wav,x\n"), "train")
-    expected = materialize(man, str(tmp_path), FeatureConfig())[0].data
+    expected = materialize(man, str(tmp_path), FeatureConfig())[0]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -126,7 +126,7 @@ def test_materialize_shared_cache_never_torn(tmp_path):
                 runs = list(pool.map(
                     lambda _: materialize(man, str(tmp_path), FeatureConfig(),
                                           cache_dir=str(cache)), range(8)))
-            assert all(np.array_equal(m.data, expected) for ms in runs for m in ms)
+            assert all(np.array_equal(m, expected) for ms in runs for m in ms)
             assert os.listdir(cache) == ["a.wav.cafe"]  # no temp file left
     finally:
         sys.setswitchinterval(interval)
@@ -137,7 +137,7 @@ def test_materialize_computes_each_path_once(tmp_path, monkeypatch, cached):
     man0 = make_wav_dataset(tmp_path, n=3)
     rows = [f"{e.path},x" for e in man0.entries] * 20
     man = load_manifest(write_manifest(tmp_path, "\n".join(rows) + "\n"), "train")
-    expected = [m.data for m in materialize(man0, str(tmp_path), FeatureConfig())]
+    expected = materialize(man0, str(tmp_path), FeatureConfig())
     calls = []
     real_mfcc = manifest.mfcc
     monkeypatch.setattr(manifest, "mfcc",
@@ -147,7 +147,7 @@ def test_materialize_computes_each_path_once(tmp_path, monkeypatch, cached):
     assert len(calls) == 3
     assert len(mats) == 60
     for k, m in enumerate(mats):
-        assert np.array_equal(m.data, expected[k % 3])
+        assert np.array_equal(m, expected[k % 3])
 
 
 def test_synth_multilabel_deterministic(tmp_path):
