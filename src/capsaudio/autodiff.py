@@ -298,9 +298,3 @@ def l2norm(a: Tensor, axis: int = -1, keepdims: bool = True) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     return apply_op("reshape", (a,), a.data.reshape(shape),
                     lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    inverse = np.argsort(axes)
-    return apply_op("transpose", (a,), a.data.transpose(axes),
-                    lambda g: (g.transpose(inverse),))

@@ -2,8 +2,9 @@
 masked decoder regularizer.
 
 One primary capsule per input timestep; class capsules of dimension
-caps_dim. Routing logits start at zero on every forward pass and gradients
-flow through the fully unrolled routing iterations.
+caps_dim. Routing logits start at zero on every forward pass. The
+prediction and every routing iteration are one tape op, "routing", whose
+analytic backward walks the iterations in reverse.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NORM_GUARD, Tensor
 from .errors import ShapeError
 from .layers import Dense, Module, glorot
 
@@ -46,31 +47,68 @@ class CapsuleLayer(Module):
     def __call__(self, u: Tensor, collect_couplings: list | None = None) -> Tensor:
         """Route primaries [B, P, in_dim] to class capsules [B, C, caps_dim].
 
-        When collect_couplings is a list, the coupling-coefficient array of
-        every iteration is appended to it (values only, for inspection).
+        Procedure 1 of Sabour, Frosst & Hinton 2017 (arXiv 1710.09829).
+        When collect_couplings is a list, the [B, P, C] coupling-coefficient
+        array of every iteration is appended to it (values only).
         """
         if u.data.ndim != 3 or u.data.shape[1:] != (self.n_primary, self.in_dim):
             raise ShapeError(f"expected [batch, {self.n_primary}, {self.in_dim}], "
                              f"got {u.shape}")
-        B, P, C, D = u.data.shape[0], self.n_primary, self.n_classes, self.caps_dim
+        B, P, I = u.data.shape
+        C, D, iters = self.n_classes, self.caps_dim, self.routing_iters
 
-        # Predictions u_hat[b, i, j] = W[i, j] @ u[b, i], batched over i.
-        Wm = ad.transpose(ad.reshape(self.W, (P, C * D, self.in_dim)), (0, 2, 1))
-        uhat = ad.matmul(ad.transpose(u, (1, 0, 2)), Wm)          # [P, B, C*D]
-        uhat = ad.reshape(ad.transpose(uhat, (1, 0, 2)), (B, P, C, D))
+        # Predictions u_hat[b, j, i] = W[i, j] @ u[b, i], batched over i and
+        # laid out [B, C, P, D] so that each routing sum is a batched matmul.
+        ut = u.data.transpose(1, 0, 2)                              # [P, B, I]
+        Wm = self.W.data.reshape(P, C * D, I)
+        uhat = np.ascontiguousarray(
+            (ut @ Wm.transpose(0, 2, 1)).reshape(P, B, C, D).transpose(1, 2, 0, 3))
 
-        b = Tensor(np.zeros((B, P, C)))  # routing logits, reset per pass
-        v = None
-        for it in range(self.routing_iters):
-            c = ad.softmax(b, axis=2)
-            if collect_couplings is not None:
-                collect_couplings.append(c.data.copy())
-            s = ad.tsum(uhat * ad.reshape(c, (B, P, C, 1)), axis=1)
-            v = squash(s)
-            if it < self.routing_iters - 1:
-                agreement = ad.tsum(uhat * ad.reshape(v, (B, 1, C, D)), axis=-1)
-                b = b + agreement
-        return v
+        b = np.zeros((B, C, P))  # routing logits, reset per pass
+        saved = []  # (c, s, |s|, v) of every iteration
+        with np.errstate(invalid="ignore", over="ignore"):
+            # non-finite values trip NumericsFault on v in apply_op
+            for it in range(iters):
+                e = np.exp(b - b.max(axis=1, keepdims=True))
+                c = e / e.sum(axis=1, keepdims=True)               # softmax over C
+                s = (c[:, :, None, :] @ uhat)[:, :, 0]              # [B, C, D]
+                n = np.sqrt((s * s).sum(axis=-1, keepdims=True))
+                v = s * (n / (n * n + 1.0))                         # squash(s)
+                if it < iters - 1:
+                    b = b + (uhat @ v[..., None])[..., 0]           # agreement
+                saved.append((c, s, n, v))
+        if collect_couplings is not None:
+            collect_couplings.extend(c.transpose(0, 2, 1).copy() for c, *_ in saved)
+
+        def backward(g):
+            # d u_hat = sum_t c_t (x) gs_t + sum_{t < last} gb_{t+1} (x) v_t,
+            # formed as one matmul over the stacked factors.
+            left, right = [], []
+            gb = None  # gradient of the logits the undone iteration produced
+            for t in reversed(range(iters)):
+                c, s, n, v = saved[t]
+                if gb is None:
+                    gv = g
+                else:
+                    gv = (gb[:, :, None, :] @ uhat)[:, :, 0]
+                    left.append(gb)
+                    right.append(v)
+                q = n * n + 1.0
+                gs = gv * (n / q) + s * ((gv * s).sum(axis=-1, keepdims=True)
+                                         * (1.0 - n * n) / (q * q * np.maximum(n, NORM_GUARD)))
+                left.append(c)
+                right.append(gs)
+                if t > 0:  # the first iteration's logits are constant zeros
+                    gc = (uhat @ gs[..., None])[..., 0]
+                    gl = (gc - (gc * c).sum(axis=1, keepdims=True)) * c
+                    gb = gl if gb is None else gb + gl
+            duhat = np.stack(left, axis=-1) @ np.stack(right, axis=-2)  # [B, C, P, D]
+            duh = duhat.transpose(2, 0, 1, 3).reshape(P, B, C * D)
+            du = (duh @ Wm).transpose(1, 0, 2)
+            dW = (duh.transpose(0, 2, 1) @ ut).reshape(P, C, D, I)
+            return du, dW
+
+        return ad.apply_op("routing", (u, self.W), v, backward)
 
 
 def length_layer(caps: Tensor) -> Tensor:

@@ -146,7 +146,7 @@ def test_gradcheck_registry_names_in_order():
     assert list(CHECKS) == [
         "matmul", "add", "sub", "mul", "div", "neg", "sigmoid", "tanh", "relu",
         "log", "sqrt", "square", "abs", "clamp_min", "softmax", "sum", "mean",
-        "l2norm", "reshape", "transpose", "batch_norm", "bilstm", "attention",
+        "l2norm", "reshape", "batch_norm", "bilstm", "attention",
         "squash", "routing_1", "routing_3", "routing_5", "length", "margin_loss",
         "decoder_mae"]
 

@@ -4,7 +4,7 @@ import pytest
 from capsaudio.autodiff import Tensor
 from capsaudio.capsnet import (CapsuleLayer, Decoder, decode_reconstruct, length_layer,
                                mae, margin_loss, predict, squash)
-from capsaudio.errors import ShapeError
+from capsaudio.errors import NumericsFault, ShapeError
 
 
 # --- squash -----------------------------------------------------------------
@@ -121,6 +121,35 @@ def test_pinned_two_capsule_agreement_matches_hand_oracle(rng):
     # and is non-decreasing across iterations for the agreeing class
     c0 = np.array([c[0][:, 0] for c in collected])
     assert np.all(np.diff(c0, axis=0) >= -1e-15)
+
+
+@pytest.mark.parametrize("iters", [1, 3, 5])
+def test_batched_multiclass_routing_matches_hand_oracle(rng, iters):
+    # Several batch items and classes, so a mix-up between batch items or
+    # classes in the batched contractions shows against the per-item oracle.
+    B, P, C, D, I = 3, 5, 4, 3, 2
+    layer = CapsuleLayer(rng, P, I, C, D, routing_iters=iters)
+    u = rng.normal(size=(B, P, I)) * 2.0
+    collected = []
+    out = layer(Tensor(u), collect_couplings=collected).data
+    assert out.shape == (B, C, D)
+    assert len(collected) == iters
+    for k in range(B):
+        uhat = np.einsum("pcdi,pi->pcd", layer.W.data, u[k])
+        v_hand, cs_hand, _ = hand_routing(uhat, iters)
+        np.testing.assert_allclose(out[k], v_hand, rtol=0, atol=1e-12)
+        for got, want in zip(collected, cs_hand):
+            assert got.shape == (B, P, C)
+            np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12)
+
+
+def test_non_finite_weight_names_the_routing_op(rng):
+    layer = CapsuleLayer(rng, 3, 2, 4, 2, routing_iters=3)
+    W = layer.W.data.copy()
+    W[1, 2, 0, 1] = np.inf
+    layer.W = Tensor(W, requires_grad=True)
+    with pytest.raises(NumericsFault, match="op 'routing'"):
+        layer(Tensor(rng.normal(size=(2, 3, 2))))
 
 
 def test_coupling_rows_sum_to_one_every_iteration(rng):
