@@ -10,9 +10,9 @@ import numpy as np
 
 from .audio import AudioClip, resample_linear
 from .errors import ConfigError, FormatError
-from .features import apply_scaler, mfcc, write_cache
-from .manifest import DatasetManifest, materialize
-from .train import TrainedModel, make_dataset, pad_to
+from .features import write_cache
+from .manifest import DatasetManifest, clip_features, materialize
+from .train import TrainedModel, make_dataset, model_inputs
 
 DEFAULT_AMPLITUDE_LEVELS = (-0.1, -0.05, 0.05, 0.1)
 DEFAULT_SPEED_LEVELS = (0.8, 0.9, 1.1, 1.25)
@@ -89,12 +89,12 @@ def capsule_scatter(trained: TrainedModel,
 
     Returns (rows, pca) where rows are (level, pc1, pc2). With a single
     clip the centered projection is the origin and pca is None; with two,
-    only the first component is fit and pc2 is 0.
+    only the first component is fit and pc2 is 0. Inputs are built as for training.
     """
     if trained.scaler is None:
         raise ConfigError("checkpoint carries no feature scaler")
-    X = np.stack([pad_to(apply_scaler(mfcc(clip), trained.scaler), trained.cfg.T_fix)
-                  for clip, _ in clips_with_levels])
+    X = model_inputs([clip_features(clip) for clip, _ in clips_with_levels],
+                     trained.scaler, trained.cfg.T_fix)
     caps = trained.caps_vectors(X)  # raises ConfigError unless a caps model
     n_classes = trained.n_classes
     if not 0 <= class_index < n_classes:

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import NumericsFault, ShapeError
 
-NORM_GUARD = 1e-9  # floor on vector norms in backward passes
-
 _GRAPH_STACK: list["Graph"] = []
 
 
@@ -256,40 +254,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op("matmul", (a, b), out, backward)
 
 
-def _spread(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    """Broadcast a reduction's gradient back over the reduced axes.
-
-    The result is a read-only view; Graph.backward only adds it into .grad.
-    """
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
+def _spread(g: np.ndarray, shape: tuple, axis) -> np.ndarray:
+    """Broadcast a reduction's gradient back over the reduced axes, as a
+    read-only view; Graph.backward only adds it into .grad."""
+    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    return apply_op("sum", (a,), out,
-                    lambda g: (_spread(g, a.shape, axis, keepdims),))
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
+    return apply_op("sum", (a,), out, lambda g: (_spread(g, a.shape, axis),))
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+def tmean(a: Tensor, axis=None) -> Tensor:
+    out = a.data.mean(axis=axis)
     count = a.data.size if axis is None else (
         np.prod([a.shape[ax] for ax in np.atleast_1d(axis)]))
-    return apply_op("mean", (a,), out,
-                    lambda g: (_spread(g, a.shape, axis, keepdims) / count,))
-
-
-def l2norm(a: Tensor, axis: int = -1, keepdims: bool = True) -> Tensor:
-    """L2 norm over one axis, with a guarded backward at zero."""
-    out = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=keepdims))
-
-    def backward(g):
-        n = out if keepdims else np.expand_dims(out, axis)
-        gk = g if keepdims else np.expand_dims(g, axis)
-        return (gk * a.data / np.maximum(n, NORM_GUARD),)
-
-    return apply_op("l2norm", (a,), out, backward)
+    return apply_op("mean", (a,), out, lambda g: (_spread(g, a.shape, axis) / count,))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ masked decoder regularizer.
 One primary capsule per input timestep; class capsules of dimension
 caps_dim. Routing logits start at zero on every forward pass. The
 prediction and every routing iteration are one tape op, "routing", whose
-analytic backward walks the iterations in reverse.
+analytic backward walks the iterations in reverse. Routing calls the same
+squash forward and backward that the primary "squash" op records.
 """
 
 from __future__ import annotations
@@ -12,19 +13,33 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NORM_GUARD, Tensor
+from .autodiff import Tensor
 from .errors import ShapeError
 from .layers import Dense, Module, glorot
 
 # Margin-loss length targets for present and absent classes (Sabour et al. 2017).
 M_PLUS = 0.9
 M_MINUS = 0.1
+NORM_GUARD = 1e-9  # floor on vector norms in backward passes
+
+
+def _squash_forward(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|s| over the last axis, kept as size 1, and the squashed s."""
+    n = np.sqrt((s * s).sum(axis=-1, keepdims=True))
+    return n, s * (n / (n * n + 1.0))
+
+
+def _squash_backward(g: np.ndarray, s: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """d(loss)/ds from d(loss)/dv, with n = |s| from _squash_forward."""
+    q = n * n + 1.0
+    return g * (n / q) + s * ((g * s).sum(axis=-1, keepdims=True)
+                              * (1.0 - n * n) / (q * q * np.maximum(n, NORM_GUARD)))
 
 
 def squash(s: Tensor) -> Tensor:
     """v = (|s|^2 / (1 + |s|^2)) * s / |s| over the last axis; maps 0 to 0, |v| < 1."""
-    n = ad.l2norm(s, axis=-1, keepdims=True)
-    return s * (n / (ad.square(n) + 1.0))
+    n, v = _squash_forward(s.data)
+    return ad.apply_op("squash", (s,), v, lambda g: (_squash_backward(g, s.data, n),))
 
 
 class CapsuleLayer(Module):
@@ -72,8 +87,7 @@ class CapsuleLayer(Module):
                 e = np.exp(b - b.max(axis=1, keepdims=True))
                 c = e / e.sum(axis=1, keepdims=True)               # softmax over C
                 s = (c[:, :, None, :] @ uhat)[:, :, 0]              # [B, C, D]
-                n = np.sqrt((s * s).sum(axis=-1, keepdims=True))
-                v = s * (n / (n * n + 1.0))                         # squash(s)
+                n, v = _squash_forward(s)
                 if it < iters - 1:
                     b = b + (uhat @ v[..., None])[..., 0]           # agreement
                 saved.append((c, s, n, v))
@@ -93,9 +107,7 @@ class CapsuleLayer(Module):
                     gv = (gb[:, :, None, :] @ uhat)[:, :, 0]
                     left.append(gb)
                     right.append(v)
-                q = n * n + 1.0
-                gs = gv * (n / q) + s * ((gv * s).sum(axis=-1, keepdims=True)
-                                         * (1.0 - n * n) / (q * q * np.maximum(n, NORM_GUARD)))
+                gs = _squash_backward(gv, s, n)
                 left.append(c)
                 right.append(gs)
                 if t > 0:  # the first iteration's logits are constant zeros
@@ -112,8 +124,10 @@ class CapsuleLayer(Module):
 
 
 def length_layer(caps: Tensor) -> Tensor:
-    """Per-class activity-vector length, [B, C, D] -> [B, C]."""
-    return ad.l2norm(caps, axis=-1, keepdims=False)
+    """Per-class activity-vector length, [B, C, D] -> [B, C]; backward guarded at 0."""
+    n = np.sqrt((caps.data * caps.data).sum(axis=-1))
+    return ad.apply_op("l2norm", (caps,), n, lambda g: (
+        g[..., None] * caps.data / np.maximum(n, NORM_GUARD)[..., None],))
 
 
 def margin_loss(lengths: Tensor, targets: np.ndarray, lam: float = 0.5) -> Tensor:

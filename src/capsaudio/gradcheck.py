@@ -175,7 +175,6 @@ CHECKS = {
     "softmax": _op(lambda t: ad.softmax(t, axis=-1), (_normal, (3, 5))),
     "sum": _make_reduce(ad.tsum),
     "mean": _make_reduce(ad.tmean),
-    "l2norm": _op(lambda t: ad.l2norm(t, axis=-1), _N34),
     "reshape": _op(lambda t: ad.reshape(t, (3, 8)), _N234),
     "batch_norm": _module(lambda: BatchNorm(4), (2, 3, 4),
                           loss=lambda net, x: _weighted_sum(net(x, training=True))),

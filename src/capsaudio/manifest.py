@@ -69,6 +69,11 @@ def _cache_path(cache_dir: str, rel: str) -> str:
     return os.path.join(cache_dir, rel + ".cafe")
 
 
+def clip_features(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """The clip's MFCC array rounded through f32, as the feature cache holds it."""
+    return mfcc(clip, cfg).astype(np.float32).astype(np.float64)
+
+
 def materialize(manifest: DatasetManifest, root: str,
                 cfg: FeatureConfig = FeatureConfig(),
                 cache_dir: str | None = None, jobs: int = 1) -> list[np.ndarray]:
@@ -88,13 +93,13 @@ def materialize(manifest: DatasetManifest, root: str,
         wav = os.path.join(root, rel)
         if not os.path.exists(wav):
             raise MissingFile(f"manifest references missing file {wav}")
-        m = mfcc(load_wav(wav, target_rate=cfg.sample_rate), cfg)
+        m = clip_features(load_wav(wav, target_rate=cfg.sample_rate), cfg)
         if cache_dir is not None:
             cpath = _cache_path(cache_dir, rel)
             os.makedirs(os.path.dirname(cpath) or ".", exist_ok=True)
             write_cache(cpath, m)
             return read_cache(cpath)
-        return m.astype(np.float32).astype(np.float64)
+        return m
 
     paths = list(dict.fromkeys(e.path for e in manifest.entries))
     if jobs <= 1:

@@ -50,10 +50,15 @@ def pad_to(mat: np.ndarray, t_fix: int) -> np.ndarray:
     return out
 
 
+def model_inputs(mats, scaler: ScalerParams, t_fix: int) -> np.ndarray:
+    """Scaled, padded [N, t_fix, dims] model inputs from feature arrays."""
+    return np.stack([pad_to(apply_scaler(m, scaler), t_fix) for m in mats])
+
+
 def make_dataset(manifest, mats, class_names: list[str], scaler: ScalerParams,
                  t_fix: int) -> ArrayDataset:
-    X = np.stack([pad_to(apply_scaler(m, scaler), t_fix) for m in mats])
-    return ArrayDataset(X, targets_for(manifest, class_names), class_names)
+    return ArrayDataset(model_inputs(mats, scaler, t_fix),
+                        targets_for(manifest, class_names), class_names)
 
 
 def load_splits(data_dir: str):
@@ -245,10 +250,6 @@ def evaluate(trained: TrainedModel, ds: ArrayDataset) -> tuple[float, np.ndarray
         preds, ds.Y, trained.cfg.mode)
 
 
-def _snapshot(model) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in model_blocks(model).items()}
-
-
 def train(cfg: RunConfig, train_set: ArrayDataset,
           test_set: ArrayDataset) -> tuple[TrainedModel, Metrics]:
     """Train per cfg and return the best-test-epoch model plus metrics."""
@@ -269,7 +270,8 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
     trained = TrainedModel(model, cfg, train_set.class_names)
     metrics = Metrics(metric_name(cfg.mode))
 
-    best_snap = _snapshot(model)
+    # Adam.step and BatchNorm replace arrays, never write into them.
+    best_snap = model_blocks(model)
     best_metric = -1.0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
@@ -282,8 +284,6 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
                     out = model.forward(train_set.X[idx], training=True,
                                         rng=dropout_rng, targets=train_set.Y[idx])
                     loss = out.loss
-                if not np.isfinite(loss.data):
-                    raise NumericsFault("non-finite loss")
                 g.backward(loss)
             except NumericsFault as e:
                 raise DivergenceFault(f"diverged at epoch {epoch} step {step}: {e}",
@@ -298,7 +298,7 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
         metrics.seconds.append(time.perf_counter() - t0)
         if test_metric > best_metric:
             best_metric = test_metric
-            best_snap = _snapshot(model)
+            best_snap = model_blocks(model)
             metrics.best_epoch = epoch
 
     load_blocks(model, best_snap)

@@ -181,6 +181,22 @@ def test_scatter_bad_class_index(digit_run):
         capsule_scatter(trained, [(clip, 0.0)], class_index=7)
 
 
+def test_scatter_inputs_are_the_training_inputs(digit_run, monkeypatch):
+    # analyze must feed the model what training fed it: the f32-rounded
+    # features of materialize, scaled and padded by make_dataset.
+    data_dir, trained = digit_run
+    man = load_manifest(os.path.join(data_dir, "test.csv"), "test")
+    clip = load_wav(os.path.join(data_dir, man.entries[0].path))
+    seen = []
+    forward = trained.caps_vectors
+    monkeypatch.setattr(trained, "caps_vectors", lambda X: seen.append(X) or forward(X))
+    capsule_scatter(trained, [(augment(clip, AugmentSpec("amplitude", (0.0,)), 0.0), 0.0)],
+                    class_index=0)
+    X = make_dataset(man, materialize(man, data_dir), man.class_names,
+                     trained.scaler, trained.cfg.T_fix).X
+    np.testing.assert_array_equal(seen[0][0], X[0])
+
+
 def test_scatter_table_format(digit_run, tmp_path):
     data_dir, trained = digit_run
     man = load_manifest(os.path.join(data_dir, "test.csv"), "test")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capsaudio.autodiff import Tensor
+from capsaudio.autodiff import Graph, Tensor, tsum
 from capsaudio.capsnet import (CapsuleLayer, Decoder, decode_reconstruct, length_layer,
                                mae, margin_loss, predict, squash)
 from capsaudio.errors import NumericsFault, ShapeError
@@ -42,6 +42,22 @@ def test_squash_direction_and_monotonicity(rng):
 def test_squash_random_norm_bounded(rng):
     v = squash(Tensor(rng.normal(size=(100, 8)) * 10)).data
     assert np.all(np.linalg.norm(v, axis=1) < 1.0)
+
+
+def test_squash_records_one_tape_node(rng):
+    s = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    with Graph() as g:
+        squash(s)
+    assert [n.name for n in g.nodes] == ["squash"]
+
+
+def test_squash_backward_at_zero_is_finite_and_zero():
+    s = Tensor(np.zeros((1, 2, 3)), requires_grad=True)
+    with Graph() as g:
+        y = tsum(squash(s))
+    g.backward(y)
+    assert np.all(np.isfinite(s.grad))
+    np.testing.assert_array_equal(s.grad, 0.0)
 
 
 # --- routing ----------------------------------------------------------------

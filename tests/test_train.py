@@ -210,6 +210,16 @@ def test_best_epoch_selection():
     assert metrics.best_epoch == metrics.epochs[metrics.test_metric.index(best)]
 
 
+def test_returned_model_is_the_best_epoch_not_the_last():
+    # At this step size the test metric peaks early and then falls, so the
+    # returned weights and batch-norm stats must be the best epoch's.
+    train_set = separable_dataset(jitter=0.5, seed=0)
+    test_set = separable_dataset(jitter=0.5, seed=10)
+    trained, metrics = train(tiny_cfg(lr=0.3, epochs=6), train_set, test_set)
+    assert metrics.test_metric[-1] < metrics.best_test_metric
+    assert evaluate(trained, test_set)[0] == metrics.best_test_metric
+
+
 # --- batched inference --------------------------------------------------------
 
 def test_batched_inference_across_chunk_boundary():
