@@ -5,7 +5,8 @@ One primary capsule per input timestep; class capsules of dimension
 caps_dim. Routing logits start at zero on every forward pass. The
 prediction and every routing iteration are one tape op, "routing", whose
 analytic backward walks the iterations in reverse. Routing calls the same
-squash forward and backward that the primary "squash" op records.
+squash forward and backward that the primary "squash" op records. The
+margin loss and the decoder with its weighted MAE are one op each too.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
-from .layers import Dense, Module, glorot
+from .errors import ShapeError, check_finite
+from .layers import Dense, Module, dense_backward, glorot
 
 # Margin-loss length targets for present and absent classes (Sabour et al. 2017).
 M_PLUS = 0.9
@@ -131,24 +132,30 @@ def length_layer(caps: Tensor) -> Tensor:
 
 
 def margin_loss(lengths: Tensor, targets: np.ndarray, lam: float = 0.5) -> Tensor:
-    """Hinge-squared class loss, summed over classes and averaged over batch;
-    lam weights absent classes (0.5 single-label, 1.0 multi-label)."""
+    """Hinge-squared class loss, summed over classes and averaged over batch,
+    as one "margin_loss" op; lam weights absent classes (0.5 single-label,
+    1.0 multi-label)."""
     if lengths.data.shape != targets.shape:
         raise ShapeError(f"lengths {lengths.shape} vs targets {targets.shape}")
-    t = Tensor(targets)
-    present = t * ad.square(ad.relu(M_PLUS - lengths))
-    absent = (1.0 - t) * ad.square(ad.relu(lengths - M_MINUS)) * lam
-    return ad.tmean(ad.tsum(present + absent, axis=1))
+    t = np.asarray(targets, dtype=np.float64)
+    over = M_PLUS - lengths.data      # present classes: shortfall below m+
+    under = lengths.data - M_MINUS    # absent classes: excess above m-
+    r_over, r_under = np.maximum(over, 0.0), np.maximum(under, 0.0)
+    terms = t * (r_over * r_over) + (1.0 - t) * (r_under * r_under) * lam
+    B = terms.shape[0]
 
+    def backward(g):
+        g = g / B  # the batch mean's gradient; it spreads over classes by broadcasting
+        dl = (2.0 * r_under) * ((g * lam) * (1.0 - t)) * (under > 0.0).astype(np.float64)
+        dl += -((2.0 * r_over) * (g * t) * (over > 0.0).astype(np.float64))
+        return (dl,)
 
-def mae(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mae operands {a.shape} vs {b.shape}")
-    return ad.tmean(ad.absolute(a - b))
+    return ad.apply_op("margin_loss", (lengths,), terms.sum(axis=1).mean(), backward)
 
 
 class Decoder(Module):
-    """Reconstructs the scaled feature matrix from masked class capsules."""
+    """The three dense layers that reconstruct the scaled feature matrix from
+    masked class capsules; decode_reconstruct runs them."""
 
     def __init__(self, rng, n_classes: int, caps_dim: int, out_dim: int,
                  hidden: tuple[int, int] = (512, 1024)):
@@ -159,23 +166,49 @@ class Decoder(Module):
         self.caps_dim = caps_dim
         self.out_dim = out_dim
 
-    def __call__(self, caps: Tensor, targets: np.ndarray) -> Tensor:
-        B = caps.data.shape[0]
-        if caps.data.shape != (B, self.n_classes, self.caps_dim):
-            raise ShapeError(f"decoder got capsules {caps.shape}")
-        mask = Tensor(targets.reshape(B, self.n_classes, 1))
-        flat = ad.reshape(caps * mask, (B, self.n_classes * self.caps_dim))
-        h = ad.relu(self.fc1(flat))
-        h = ad.relu(self.fc2(h))
-        return ad.sigmoid(self.out(h))
 
+def decode_reconstruct(caps: Tensor, targets: np.ndarray, decoder: Decoder, x: Tensor,
+                       weight: float = 1.0) -> tuple[np.ndarray, Tensor]:
+    """Masked reconstruction [B, frames * dims] of the scaled input x
+    [B, frames, dims], and weight times its mean absolute error.
 
-def decode_reconstruct(caps: Tensor, targets: np.ndarray, decoder: Decoder,
-                       x: Tensor) -> tuple[Tensor, Tensor]:
-    """Masked reconstruction of the scaled input x [B, frames, dims] and its
-    mean-absolute-error loss."""
-    recon = decoder(caps, targets)
-    return recon, mae(recon, ad.reshape(x, (x.data.shape[0], -1)))
+    One "decoder" op over caps, the decoder's six parameters and x: relu,
+    relu and sigmoid dense layers on the target-masked capsules.
+    """
+    B = caps.data.shape[0]
+    C, D = decoder.n_classes, decoder.caps_dim
+    if caps.data.shape != (B, C, D):
+        raise ShapeError(f"decoder got capsules {caps.shape}")
+    target = x.data.reshape(B, -1)
+    if target.shape != (B, decoder.out_dim):
+        raise ShapeError(f"decoder output {(B, decoder.out_dim)} vs target {target.shape}")
+    mask = np.asarray(targets, dtype=np.float64).reshape(B, C, 1)
+    dense = (decoder.fc1, decoder.fc2, decoder.out)
+    h = (caps.data * mask).reshape(B, C * D)
+    ins, zs = [], []  # each dense layer's input and pre-activation
+    for k, layer in enumerate(dense):
+        z = h @ layer.W.data + layer.b.data
+        check_finite("decoder", z)  # relu and sigmoid saturate and would hide an overflow
+        ins.append(h)
+        zs.append(z)
+        h = np.maximum(z, 0.0) if k < 2 else 1.0 / (1.0 + np.exp(-z))
+    recon, diff = h, h - target
+
+    def backward(g):
+        g = (g * weight) / diff.size * np.sign(diff)  # weight, mean, |.|
+        dx = -g.reshape(x.data.shape) if x.requires_grad else None
+        g = g * recon * (1.0 - recon)
+        grads = []
+        for k in (2, 1, 0):
+            g, dW, db = dense_backward(g, ins[k], dense[k].W.data)
+            grads[:0] = [dW, db]
+            if k:
+                g = g * (zs[k - 1] > 0.0).astype(np.float64)
+        return (g.reshape(B, C, D) * mask, *grads, dx)
+
+    loss = np.abs(diff).mean() * weight
+    return recon, ad.apply_op("decoder", (caps, *decoder.params().values(), x), loss,
+                              backward)
 
 
 def predict(lengths: np.ndarray, mode: str, threshold: float = 0.5) -> np.ndarray:

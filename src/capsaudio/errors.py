@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-value check
+that raises NumericsFault."""
+
+import numpy as np
 
 
 class CapsAudioError(Exception):
@@ -43,6 +46,12 @@ class FormatError(CapsAudioError):
 
 class NumericsFault(CapsAudioError):
     """A forward op produced NaN or Inf."""
+
+
+def check_finite(op: str, *arrays) -> None:
+    """Raise NumericsFault naming op unless every value of arrays is finite."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NumericsFault(f"op '{op}' produced non-finite values")
 
 
 class DivergenceFault(CapsAudioError):

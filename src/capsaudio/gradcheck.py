@@ -17,9 +17,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor
-from .capsnet import CapsuleLayer, Decoder, length_layer, margin_loss, mae, squash
-from .layers import AttentionPool, BatchNorm, BiLSTM
-from .models import CapsModel
+from .capsnet import (CapsuleLayer, Decoder, decode_reconstruct, length_layer, margin_loss,
+                      squash)
+from .layers import AttentionPool, BatchNorm, BiLSTM, Dense, dropout, mean_pool
+from .models import CapsModel, sigmoid_xent, softmax_xent
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-2
@@ -57,23 +58,16 @@ def gradcheck(build, arrays) -> float:
     return worst
 
 
-def _weighted_sum(y: Tensor) -> Tensor:
+def weighted_sum(y: Tensor) -> Tensor:
+    """sum(y * w) as one "weighted_sum" op, with signed weights |w| in
+    [0.5, 1.5] drawn from WEIGHT_SEED."""
     rng = np.random.default_rng(WEIGHT_SEED)
     w = rng.uniform(0.5, 1.5, size=y.data.shape) * rng.choice([-1.0, 1.0], y.data.shape)
-    return ad.tsum(y * Tensor(w))
+    return ad.apply_op("weighted_sum", (y,), (y.data * w).sum(), lambda g: (g * w,))
 
 
 def _normal(rng, shape):
     return rng.normal(size=shape)
-
-
-def _away_from_zero(rng, shape):
-    x = rng.normal(size=shape)
-    return np.where(np.abs(x) < 0.1, 0.1 + np.abs(x), x)
-
-
-def _positive(rng, shape):
-    return rng.uniform(0.2, 2.0, size=shape)
 
 
 _N34 = (_normal, (3, 4))
@@ -86,12 +80,12 @@ def _op(fn, *inputs):
     """Check fn over inputs drawn from (sampler, shape) pairs."""
     def make(rng):
         return ([sampler(rng, shape) for sampler, shape in inputs],
-                lambda ts: _weighted_sum(fn(*ts)))
+                lambda ts: weighted_sum(fn(*ts)))
 
     return make
 
 
-def _module(factory, x_shape, loss=lambda net, x: _weighted_sum(net(x)), scale=0.6):
+def _module(factory, x_shape, loss=lambda net, x: weighted_sum(net(x)), scale=0.6):
     """Check a fresh factory() module in its input and every params() entry."""
     def make(rng):
         params = factory().params()
@@ -123,20 +117,26 @@ def _routing(iters):
 def _decoder_mae(net, caps):
     # The decoder output is a sigmoid in (0, 1), so a target of 2 keeps
     # |recon - target| away from its kink.
-    return mae(net(caps, np.eye(2)), Tensor(np.full((2, 5), 2.0)))
+    return decode_reconstruct(caps, np.eye(2), net, Tensor(np.full((2, 5, 1), 2.0)),
+                              weight=0.7)[1]
 
 
 # --- the bespoke builders: each draws something per trial -------------------
 
-def _make_matmul(rng):
-    shapes = ((3, 4), (4, 2)) if rng.random() < 0.5 else ((2, 3, 4), (2, 4, 2))
-    return _op(ad.matmul, *((_normal, s) for s in shapes))(rng)
+def _make_batch_norm(rng):
+    training = bool(rng.random() < 0.5)
+    return _module(lambda: BatchNorm(4), (2, 3, 4),
+                   loss=lambda net, x: weighted_sum(net(x, training=training)))(rng)
 
 
-def _make_reduce(op):
+def _one_hot(rng):
+    return np.eye(4)[rng.integers(4, size=3)]
+
+
+def _make_xent(xent, draw_targets):
     def make(rng):
-        axis = [None, 0, 1, 2, (0, 1)][rng.integers(5)]
-        return _op(lambda t: op(t, axis=axis), _N234)(rng)
+        targets = draw_targets(rng)
+        return [rng.normal(size=(3, 4))], lambda ts: xent(ts[0], targets)[1]
 
     return make
 
@@ -158,28 +158,16 @@ def _make_full_model(rng):
 
 
 CHECKS = {
-    "matmul": _make_matmul,
-    "add": _op(ad.add, _N34, (_normal, (4,))),
-    "sub": _op(ad.sub, _N34, (_normal, (4,))),
-    "mul": _op(ad.mul, _N34, (_normal, (4,))),
-    "div": _op(ad.div, _N34, (_away_from_zero, (4,))),
-    "neg": _op(ad.neg, _N34),
-    "sigmoid": _op(ad.sigmoid, _N34),
-    "tanh": _op(ad.tanh, _N34),
-    "relu": _op(ad.relu, (_away_from_zero, (3, 4))),
-    "log": _op(ad.log, (_positive, (3, 4))),
-    "sqrt": _op(ad.sqrt, (_positive, (3, 4))),
-    "square": _op(ad.square, _N34),
-    "abs": _op(ad.absolute, (_away_from_zero, (3, 4))),
-    "clamp_min": _op(lambda t: ad.clamp_min(t, 0.15), (_away_from_zero, (3, 4))),
-    "softmax": _op(lambda t: ad.softmax(t, axis=-1), (_normal, (3, 5))),
-    "sum": _make_reduce(ad.tsum),
-    "mean": _make_reduce(ad.tmean),
-    "reshape": _op(lambda t: ad.reshape(t, (3, 8)), _N234),
-    "batch_norm": _module(lambda: BatchNorm(4), (2, 3, 4),
-                          loss=lambda net, x: _weighted_sum(net(x, training=True))),
+    "add": _op(ad.add, _N34, _N34),
+    "batch_norm": _make_batch_norm,
     "bilstm": _module(_seeded(BiLSTM, 2, 2), (2, 3, 2)),
+    "dropout": _op(lambda t: dropout(t, 0.3, True, np.random.default_rng(WEIGHT_SEED)),
+                   _N234),
+    "dense": _module(_seeded(Dense, 4, 3), (2, 4)),
     "attention": _module(_seeded(AttentionPool, 4, 3), (2, 3, 4)),
+    "mean_pool": _op(mean_pool, _N234),
+    "softmax_xent": _make_xent(softmax_xent, _one_hot),
+    "sigmoid_xent": _make_xent(sigmoid_xent, lambda rng: 1.0 * (rng.random((3, 4)) < 0.5)),
     "squash": _op(squash, _N234),
     "routing_1": _routing(1),
     "routing_3": _routing(3),

@@ -8,7 +8,8 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tensor
-from .errors import ConfigError, DegenerateBatch, InputTooShort, ShapeError
+from .errors import (ConfigError, DegenerateBatch, InputTooShort, ShapeError,
+                     check_finite)
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -54,17 +55,28 @@ class Module:
             setattr(owner, attr, value)
 
 
+def dense_backward(g: np.ndarray, x: np.ndarray, W: np.ndarray):
+    """d(loss)/d(x, W, b) of x @ W + b for 2-D x, from g = d(loss)/d(out)."""
+    return g @ W.T, x.T @ g, g.sum(axis=0)
+
+
 class Dense(Module):
     def __init__(self, rng, n_in: int, n_out: int):
         self.W = Tensor(glorot(rng, (n_in, n_out), n_in, n_out), requires_grad=True)
         self.b = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.matmul(x, self.W) + self.b
+        """x @ W + b for x [batch, n_in], as one "dense" op."""
+        W = self.W.data
+        if x.data.ndim != 2 or x.data.shape[1] != W.shape[0]:
+            raise ShapeError(f"dense {W.shape} got input {x.shape}")
+        return ad.apply_op("dense", (x, self.W, self.b), x.data @ W + self.b.data,
+                           lambda g: dense_backward(g, x.data, W))
 
 
 class BatchNorm(Module):
-    """Normalizes each feature dim over (batch, time) jointly."""
+    """Normalizes each feature dim over (batch, time) jointly; one
+    "batch_norm" op over x, gamma and beta."""
 
     def __init__(self, n_dims: int):
         self.gamma = Tensor(np.ones(n_dims), requires_grad=True)
@@ -80,18 +92,32 @@ class BatchNorm(Module):
         if training:
             if x.data.shape[0] * x.data.shape[1] < 2:
                 raise DegenerateBatch("batch norm needs batch*frames >= 2 in training")
-            mu = ad.tmean(x, axis=(0, 1))
-            centered = x - mu
-            var = ad.tmean(ad.square(centered), axis=(0, 1))
-            xhat = centered / ad.sqrt(var + BN_EPS)
-            self.running_mean = (BN_MOMENTUM * self.running_mean
-                                 + (1.0 - BN_MOMENTUM) * mu.data)
-            self.running_var = (BN_MOMENTUM * self.running_var
-                                + (1.0 - BN_MOMENTUM) * var.data)
+            mu = x.data.mean(axis=(0, 1))
+            centered = x.data - mu
+            var = (centered * centered).mean(axis=(0, 1))
+            # An infinite variance would zero xhat, so the overflow would not show.
+            check_finite("batch_norm", var)
+            std = np.sqrt(var + BN_EPS)
+            xhat = centered / std
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mu
+            self.running_var = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
         else:
-            inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
-            xhat = (x - self.running_mean) * inv
-        return xhat * self.gamma + self.beta
+            std = np.sqrt(self.running_var + BN_EPS)
+            xhat = (x.data - self.running_mean) * (1.0 / std)
+        gamma = self.gamma.data
+
+        def backward(g):
+            dx = None
+            if x.requires_grad:
+                dx = g * gamma
+                if training:  # the batch statistics depend on x too
+                    dx = (dx - dx.mean(axis=(0, 1))
+                          - xhat * (dx * xhat).mean(axis=(0, 1)))
+                dx = dx / std
+            return dx, (g * xhat).sum(axis=0).sum(axis=0), g.sum(axis=0).sum(axis=0)
+
+        return ad.apply_op("batch_norm", (x, self.gamma, self.beta),
+                           xhat * gamma + self.beta.data, backward)
 
 
 class LSTMDirection(Module):
@@ -151,11 +177,12 @@ def dropout(x: Tensor, rate: float, training: bool,
     if rng is None:
         raise ConfigError("training-mode dropout needs an rng")
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
+    return ad.apply_op("dropout", (x,), x.data * mask, lambda g: (g * mask,))
 
 
 class AttentionPool(Module):
-    """Additive attention over time: softmax(v . tanh(W h_t)) weights."""
+    """Additive attention over time: softmax(v . tanh(W h_t)) weights; one
+    "attention" op over h, W and v."""
 
     def __init__(self, rng, n_in: int, n_att: int):
         self.W = Tensor(glorot(rng, (n_in, n_att), n_in, n_att), requires_grad=True)
@@ -164,10 +191,29 @@ class AttentionPool(Module):
     def __call__(self, h: Tensor) -> Tensor:
         if h.data.ndim != 3:
             raise ShapeError(f"attention expects [batch, frames, dims], got {h.shape}")
-        scores = ad.matmul(ad.tanh(ad.matmul(h, self.W)), self.v)  # [B, T, 1]
-        alpha = ad.softmax(scores, axis=1)
-        return ad.tsum(h * alpha, axis=1)
+        hd, W, v = h.data, self.W.data, self.v.data
+        z = hd @ W
+        check_finite("attention", z)  # tanh saturates, so an overflow would not show
+        th = np.tanh(z)
+        scores = th @ v                                             # [B, T, 1]
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        alpha = e / e.sum(axis=1, keepdims=True)                    # softmax over T
+
+        def backward(g):
+            g = np.broadcast_to(g[:, None], hd.shape)  # spread over T
+            dalpha = (g * hd).sum(axis=2, keepdims=True)
+            dscores = (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True)) * alpha
+            dv = (np.swapaxes(th, -1, -2) @ dscores).sum(axis=0)
+            dz = (dscores @ v.T) * (1.0 - th * th)
+            dW = (np.swapaxes(hd, -1, -2) @ dz).sum(axis=0)
+            return g * alpha + dz @ W.T, dW, dv
+
+        return ad.apply_op("attention", (h, self.W, self.v), (hd * alpha).sum(axis=1),
+                           backward)
 
 
 def mean_pool(h: Tensor) -> Tensor:
-    return ad.tmean(h, axis=1)
+    """Mean over time, [B, T, D] -> [B, D], as one "mean_pool" op."""
+    T = h.data.shape[1]
+    return ad.apply_op("mean_pool", (h,), h.data.mean(axis=1),
+                       lambda g: (np.broadcast_to(g[:, None], h.data.shape) / T,))

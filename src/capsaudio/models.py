@@ -65,8 +65,9 @@ class CapsModel(Module):
         if targets is not None:
             loss = margin_loss(lengths, targets, self.lam)
             if self.decoder is not None:
-                _, recon_loss = decode_reconstruct(v, targets, self.decoder, x)
-                loss = loss + recon_loss * self.recon_weight
+                _, recon_loss = decode_reconstruct(v, targets, self.decoder, x,
+                                                   self.recon_weight)
+                loss = ad.add(loss, recon_loss)
         return ForwardOutput(scores=lengths, loss=loss, caps=v)
 
 
@@ -97,20 +98,53 @@ class RecurrentBaseline(Module):
         pooled = self.att(h) if self.att is not None else mean_pool(h)
         logits = self.head(pooled)
 
-        loss = None
-        if self.mode == "single":
-            probs = ad.softmax(logits, axis=-1)
-            if targets is not None:
-                logp = ad.log(ad.clamp_min(probs, LOG_CLAMP))
-                loss = -ad.tmean(ad.tsum(Tensor(targets) * logp, axis=1))
-        else:
-            probs = ad.sigmoid(logits)
-            if targets is not None:
-                t = Tensor(targets)
-                logp = ad.log(ad.clamp_min(probs, LOG_CLAMP))
-                logq = ad.log(ad.clamp_min(1.0 - probs, LOG_CLAMP))
-                loss = -ad.tmean(ad.tsum(t * logp + (1.0 - t) * logq, axis=1))
-        return ForwardOutput(scores=probs, loss=loss)
+        xent = softmax_xent if self.mode == "single" else sigmoid_xent
+        probs, loss = xent(logits, targets)
+        return ForwardOutput(scores=Tensor(probs), loss=loss)
+
+
+def softmax_xent(logits: Tensor, targets: np.ndarray | None):
+    """Class probabilities (softmax over the last axis) and, given targets,
+    their cross-entropy summed over classes and averaged over the batch, as
+    one "softmax_xent" op. log clamps its argument at LOG_CLAMP, so a
+    clamped probability gets no gradient."""
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    if targets is None:
+        return probs, None
+    t = np.asarray(targets, dtype=np.float64)
+    p = np.maximum(probs, LOG_CLAMP)
+    B = probs.shape[0]
+
+    def backward(g):
+        g = (-g / B) * t / p * (probs > LOG_CLAMP).astype(np.float64)
+        return ((g - (g * probs).sum(axis=-1, keepdims=True)) * probs,)
+
+    loss = -(t * np.log(p)).sum(axis=1).mean()
+    return probs, ad.apply_op("softmax_xent", (logits,), loss, backward)
+
+
+def sigmoid_xent(logits: Tensor, targets: np.ndarray | None):
+    """Per-class probabilities (sigmoid) and, given multi-hot targets, their
+    binary cross-entropy summed over classes and averaged over the batch, as
+    one "sigmoid_xent" op; log is clamped as in softmax_xent."""
+    probs = 1.0 / (1.0 + np.exp(-logits.data))
+    if targets is None:
+        return probs, None
+    t = np.asarray(targets, dtype=np.float64)
+    q = 1.0 - probs
+    p_c, q_c = np.maximum(probs, LOG_CLAMP), np.maximum(q, LOG_CLAMP)
+    B = probs.shape[0]
+
+    def backward(g):
+        g = -g / B
+        dp = -((g * (1.0 - t)) / q_c * (q > LOG_CLAMP).astype(np.float64))
+        dp += (g * t) / p_c * (probs > LOG_CLAMP).astype(np.float64)
+        return (dp * probs * (1.0 - probs),)
+
+    loss = -(t * np.log(p_c) + (1.0 - t) * np.log(q_c)).sum(axis=1).mean()
+    return probs, ad.apply_op("sigmoid_xent", (logits,), loss, backward)
 
 
 def build_model(cfg, n_dims: int, n_classes: int, rng):

@@ -122,7 +122,7 @@ class Metrics:
     train_loss: list[float] = field(default_factory=list)
     test_metric: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
-    confusion: np.ndarray | None = None
+    confusion: np.ndarray | None = None  # the best epoch's; None without epochs
     best_epoch: int | None = None
 
     @property
@@ -300,9 +300,9 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
             best_metric = test_metric
             best_snap = model_blocks(model)
             metrics.best_epoch = epoch
+            metrics.confusion = confusion
 
     load_blocks(model, best_snap)
-    _, metrics.confusion = evaluate(trained, test_set)
     return trained, metrics
 
 
@@ -317,8 +317,9 @@ def run_training(cfg: RunConfig, data_dir: str, out_dir: str | None = None,
         os.makedirs(out_dir, exist_ok=True)
         save_config(os.path.join(out_dir, "config.cfg"), cfg)
         write_metrics(os.path.join(out_dir, "metrics.csv"), cfg, metrics)
-        np.savetxt(os.path.join(out_dir, "confusion.csv"), metrics.confusion,
-                   fmt="%d", delimiter=",")
+        if metrics.confusion is not None:
+            np.savetxt(os.path.join(out_dir, "confusion.csv"), metrics.confusion,
+                       fmt="%d", delimiter=",")
         trained.save(os.path.join(out_dir, "checkpoint.cpsn"))
     return trained, metrics
 

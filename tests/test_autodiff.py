@@ -8,73 +8,54 @@ from capsaudio import autodiff as ad
 from capsaudio.autodiff import Graph, Tensor
 from capsaudio.capsnet import length_layer
 from capsaudio.errors import NumericsFault, ShapeError
-from capsaudio.gradcheck import CHECKS, _make_full_model, check_op, gradcheck
+from capsaudio.gradcheck import CHECKS, _make_full_model, check_op, gradcheck, weighted_sum
 
 
-def scalar_loss(t):
-    return ad.tsum(t)
+def scale(x, c, name="scale"):
+    """c * x as an op defined here, so the Graph tests need no library op."""
+    return ad.apply_op(name, (x,), c * x.data, lambda g: (c * g,))
 
 
-def test_matmul_identity():
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = ad.matmul(a, Tensor(np.eye(2)))
-    np.testing.assert_array_equal(out.data, a.data)
+def total(x):
+    """sum(x) as an op whose backward returns a read-only broadcast view."""
+    return ad.apply_op("total", (x,), x.data.sum(),
+                       lambda g: (np.broadcast_to(g, x.shape),))
 
 
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
-
-
-def test_sigmoid_derivative_at_zero():
-    x = Tensor(np.zeros((1, 1)), requires_grad=True)
-    with Graph() as g:
-        y = ad.tsum(ad.sigmoid(x))
-    g.backward(y)
-    assert x.grad[0, 0] == pytest.approx(0.25, abs=1e-15)
-
-
-def test_softmax_rows_sum_to_one(rng):
-    x = Tensor(rng.normal(size=(5, 7)) * 3)
-    out = ad.softmax(x, axis=-1)
-    np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-
-
+@pytest.mark.filterwarnings("ignore:overflow")
 def test_non_finite_forward_trips_fault():
-    with pytest.raises(NumericsFault):
-        ad.log(Tensor([[0.0]]))  # -inf
-    with pytest.raises(NumericsFault):
-        ad.div(Tensor([[1.0]]), Tensor([[0.0]]))
+    with pytest.raises(NumericsFault, match="op 'bad'"):
+        ad.apply_op("bad", (Tensor([[1.0]]),), np.array([[np.inf]]), None)
+    with pytest.raises(NumericsFault, match="op 'add'"):
+        ad.add(Tensor([[1e308]]), Tensor([[1e308]]))
 
 
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with Graph() as g:
-        y = ad.square(x)
+        y = ad.add(x, x)
     with pytest.raises(ShapeError):
         g.backward(y)
 
 
 def test_no_recording_without_graph():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    y = ad.square(x)
+    y = ad.add(x, x)
     assert not y.requires_grad
 
 
 def test_grad_accumulates_over_reuse():
     x = Tensor(np.array([[3.0]]), requires_grad=True)
     with Graph() as g:
-        y = ad.tsum(ad.mul(x, x))  # x used twice: d/dx = 2x
+        y = total(ad.add(scale(x, 2.0), scale(x, 5.0)))  # x read by two ops
     g.backward(y)
-    assert x.grad[0, 0] == pytest.approx(6.0)
+    assert x.grad[0, 0] == 7.0
 
 
 def test_backward_visits_reverse_recording_order():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with Graph() as g:
-        y = ad.tsum(ad.tanh(ad.square(ad.sigmoid(x))))
+        y = total(scale(ad.add(scale(x, 2.0, "a"), x), 3.0, "b"))
     visited = []
     for node in g.nodes:
         original = node.backward_fn
@@ -92,41 +73,31 @@ def test_backward_visits_reverse_recording_order():
 def test_topological_order_is_recording_order():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with Graph() as g:
-        ad.tsum(ad.relu(ad.neg(x)))
-    assert [n.name for n in g.nodes] == ["neg", "relu", "sum"]
+        total(ad.add(scale(x, -1.0), x))
+    assert [n.name for n in g.nodes] == ["scale", "add", "total"]
 
 
-def test_broadcast_add_gradient():
+def test_add_gradient_and_equal_shapes():
     a = Tensor(np.zeros((3, 4)), requires_grad=True)
-    b = Tensor(np.zeros(4), requires_grad=True)
+    b = Tensor(np.zeros((3, 4)), requires_grad=True)
     with Graph() as g:
-        y = ad.tsum(ad.add(a, b))
+        y = total(ad.add(a, b))
     g.backward(y)
-    np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
     np.testing.assert_array_equal(a.grad, np.ones((3, 4)))
+    np.testing.assert_array_equal(b.grad, np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        ad.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))  # no broadcasting
 
 
 def test_l2norm_guarded_at_zero():
     # The length layer is the one vector norm; its backward is guarded at 0.
     x = Tensor(np.zeros((1, 2, 3)), requires_grad=True)
     with Graph() as g:
-        y = ad.tsum(length_layer(x))
+        y = weighted_sum(length_layer(x))
     g.backward(y)
-    assert [n.name for n in g.nodes] == ["l2norm", "sum"]
+    assert [n.name for n in g.nodes] == ["l2norm", "weighted_sum"]
     assert np.all(np.isfinite(x.grad))
     np.testing.assert_array_equal(x.grad, 0.0)
-
-
-def test_operator_sugar_matches_functions(rng):
-    a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-    ta, tb = Tensor(a), Tensor(b)
-    np.testing.assert_array_equal((ta + tb).data, a + b)
-    np.testing.assert_array_equal((ta - tb).data, a - b)
-    np.testing.assert_array_equal((ta * tb).data, a * b)
-    np.testing.assert_array_equal((ta / (tb + 10.0)).data, a / (b + 10.0))
-    np.testing.assert_array_equal((ta @ tb).data, a @ b)
-    np.testing.assert_array_equal((-ta).data, -a)
-    np.testing.assert_array_equal((2.0 * ta).data, 2 * a)
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
@@ -147,11 +118,9 @@ def test_gradcheck_catches_wrong_gradient():
 def test_gradcheck_registry_names_in_order():
     # The CLI table rows and C1's op count follow this registry.
     assert list(CHECKS) == [
-        "matmul", "add", "sub", "mul", "div", "neg", "sigmoid", "tanh", "relu",
-        "log", "sqrt", "square", "abs", "clamp_min", "softmax", "sum", "mean",
-        "reshape", "batch_norm", "bilstm", "attention",
-        "squash", "routing_1", "routing_3", "routing_5", "length", "margin_loss",
-        "decoder_mae"]
+        "add", "batch_norm", "bilstm", "dropout", "dense", "attention", "mean_pool",
+        "softmax_xent", "sigmoid_xent", "squash", "routing_1", "routing_3", "routing_5",
+        "length", "margin_loss", "decoder_mae"]
 
 
 def test_every_tape_op_is_gradient_checked():
@@ -171,7 +140,7 @@ def test_every_tape_op_is_gradient_checked():
 
 
 @pytest.mark.parametrize("name, count", [
-    ("batch_norm", 3), ("bilstm", 7), ("attention", 3), ("routing_1", 2),
+    ("batch_norm", 3), ("bilstm", 7), ("dense", 3), ("attention", 3), ("routing_1", 2),
     ("routing_3", 2), ("routing_5", 2), ("decoder_mae", 7)])
 def test_module_check_perturbs_input_and_every_param(name, count):
     arrays, build = CHECKS[name](np.random.default_rng(0))
@@ -186,9 +155,8 @@ def test_module_check_perturbs_input_and_every_param(name, count):
 def test_backward_add_gives_each_input_its_own_grad(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 4)))
     with Graph() as g:
-        loss = ad.tsum(ad.mul(ad.add(a, b), w))  # add hands one array to both
+        loss = weighted_sum(ad.add(a, b))  # add hands one array to both
     g.backward(loss)
     assert not np.shares_memory(a.grad, b.grad)
     before = b.grad.copy()
@@ -199,7 +167,7 @@ def test_backward_add_gives_each_input_its_own_grad(rng):
 def test_backward_grad_from_broadcast_view_is_owned(rng):
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     with Graph() as g:
-        loss = ad.tsum(x)  # its backward returns a read-only broadcast view
+        loss = total(x)  # its backward returns a read-only broadcast view
     g.backward(loss)
     assert x.grad.flags.writeable and x.grad.flags.owndata
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
@@ -207,8 +175,7 @@ def test_backward_grad_from_broadcast_view_is_owned(rng):
 
 def test_backward_tensor_used_twice_accumulates(rng):
     x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    w = rng.normal(size=(4, 2))
     with Graph() as g:
-        loss = ad.tsum(ad.mul(ad.mul(x, x), Tensor(w)))
+        loss = total(ad.add(x, x))  # one array handed twice to one tensor
     g.backward(loss)
-    np.testing.assert_array_equal(x.grad, 2.0 * x.data * w)
+    np.testing.assert_array_equal(x.grad, np.full((4, 2), 2.0))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from capsaudio.autodiff import Graph, Tensor, tsum
+from capsaudio.autodiff import Graph, Tensor
 from capsaudio.capsnet import (CapsuleLayer, Decoder, decode_reconstruct, length_layer,
-                               mae, margin_loss, predict, squash)
+                               margin_loss, predict, squash)
 from capsaudio.errors import NumericsFault, ShapeError
+from capsaudio.gradcheck import weighted_sum
 
 
 # --- squash -----------------------------------------------------------------
@@ -54,7 +55,7 @@ def test_squash_records_one_tape_node(rng):
 def test_squash_backward_at_zero_is_finite_and_zero():
     s = Tensor(np.zeros((1, 2, 3)), requires_grad=True)
     with Graph() as g:
-        y = tsum(squash(s))
+        y = weighted_sum(squash(s))
     g.backward(y)
     assert np.all(np.isfinite(s.grad))
     np.testing.assert_array_equal(s.grad, 0.0)
@@ -260,29 +261,41 @@ def test_margin_shape_error():
 # --- decoder ----------------------------------------------------------------
 
 def test_mae_identical_is_zero(rng):
-    x = rng.normal(size=(2, 5))
-    assert float(mae(Tensor(x), Tensor(x.copy())).data) == 0.0
+    dec = Decoder(rng, n_classes=2, caps_dim=3, out_dim=5, hidden=(4, 6))
+    caps, targets = Tensor(rng.normal(size=(2, 2, 3))), np.eye(2)
+    recon, _ = decode_reconstruct(caps, targets, dec, Tensor(np.zeros((2, 5))))
+    _, loss = decode_reconstruct(caps, targets, dec, Tensor(recon.copy()))
+    assert float(loss.data) == 0.0
 
 
 def test_mae_constant_offset(rng):
-    x = rng.normal(size=(2, 5))
-    loss = mae(Tensor(x + 0.1), Tensor(x))
+    dec = Decoder(rng, n_classes=2, caps_dim=3, out_dim=5, hidden=(4, 6))
+    caps, targets = Tensor(rng.normal(size=(2, 2, 3))), np.eye(2)
+    recon, _ = decode_reconstruct(caps, targets, dec, Tensor(np.zeros((2, 5))))
+    x = Tensor(recon + 0.1)
+    _, loss = decode_reconstruct(caps, targets, dec, x)
     assert float(loss.data) == pytest.approx(0.1, abs=1e-12)
+    _, weighted = decode_reconstruct(caps, targets, dec, x, weight=0.3)
+    assert float(weighted.data) == float(loss.data) * 0.3
 
 
 def test_decoder_masks_non_target_capsules(rng):
     dec = Decoder(rng, n_classes=3, caps_dim=2, out_dim=4, hidden=(5, 6))
     targets = np.array([[0.0, 1.0, 0.0]])
+    x = Tensor(np.zeros((1, 4)))
+
+    def recon(caps):
+        return decode_reconstruct(Tensor(caps), targets, dec, x)[0]
+
     caps_a = rng.normal(size=(1, 3, 2))
     caps_b = caps_a.copy()
     caps_b[0, 0] += 9.0  # non-target rows must not matter
     caps_b[0, 2] -= 9.0
-    out_a = dec(Tensor(caps_a), targets).data
-    out_b = dec(Tensor(caps_b), targets).data
-    np.testing.assert_array_equal(out_a, out_b)
+    out_a = recon(caps_a)
+    np.testing.assert_array_equal(out_a, recon(caps_b))
     caps_c = caps_a.copy()
     caps_c[0, 1] += 0.5  # the target row must matter
-    assert np.abs(dec(Tensor(caps_c), targets).data - out_a).max() > 1e-9
+    assert np.abs(recon(caps_c) - out_a).max() > 1e-9
 
 
 def test_decode_reconstruct_loss(rng):
@@ -292,10 +305,34 @@ def test_decode_reconstruct_loss(rng):
     x = rng.uniform(size=(2, 3, 2))  # the scaled input [batch, frames, dims]
     recon, loss = decode_reconstruct(caps=Tensor(caps), targets=targets,
                                      decoder=dec, x=Tensor(x))
-    assert recon.data.shape == (2, 6)
-    assert float(loss.data) == pytest.approx(np.abs(recon.data - x.reshape(2, 6)).mean())
+    assert recon.shape == (2, 6)
+    assert float(loss.data) == pytest.approx(np.abs(recon - x.reshape(2, 6)).mean())
     with pytest.raises(ShapeError):
         decode_reconstruct(Tensor(caps), targets, dec, Tensor(rng.uniform(size=(2, 7))))
+
+
+def test_decoder_records_one_tape_node(rng):
+    dec = Decoder(rng, 2, 3, out_dim=6, hidden=(4, 4))
+    caps = Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
+    x = Tensor(rng.uniform(size=(2, 3, 2)))
+    with Graph() as g:
+        _, loss = decode_reconstruct(caps, np.eye(2), dec, x, weight=0.1)
+    assert [n.name for n in g.nodes] == ["decoder"]
+    assert all(a is b for a, b in zip(g.nodes[0].inputs,
+                                      [caps, *dec.params().values(), x]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_huge_decoder_weight_names_the_decoder(rng):
+    # out.W drives the sigmoid's input to -inf, where it saturates at a
+    # finite 0, so only the check on the pre-activations can see it.
+    dec = Decoder(rng, 2, 3, out_dim=4, hidden=(4, 5))
+    for layer in (dec.fc1, dec.fc2):
+        layer.W = Tensor(np.ones(layer.W.shape), requires_grad=True)
+    dec.out.W = Tensor(np.full(dec.out.W.shape, -1e308), requires_grad=True)
+    with pytest.raises(NumericsFault, match="'decoder'"):
+        decode_reconstruct(Tensor(np.ones((1, 2, 3))), np.array([[1.0, 0.0]]), dec,
+                           Tensor(np.zeros((1, 4))))
 
 
 # --- predict ----------------------------------------------------------------

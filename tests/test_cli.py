@@ -7,6 +7,7 @@ from capsaudio import manifest
 from capsaudio.cli import dispatch
 from capsaudio.config import load_config
 from capsaudio.features import mfcc, read_cache
+from capsaudio.gradcheck import CHECKS
 from capsaudio.manifest import DatasetManifest, load_manifest, save_manifest
 from capsaudio.synthdata import make_digit_dataset
 from capsaudio.train import read_metrics_rows
@@ -191,7 +192,8 @@ def test_gradcheck_verb(tmp_path, capsys):
     code = dispatch(["gradcheck", "--trials", "1", "--out", report])
     assert code == 0
     out = capsys.readouterr().out
-    assert "matmul" in out and "routing_3" in out and "full_model" in out
+    rows = [line.split()[0] for line in out.splitlines()[:-1]]
+    assert rows == [*CHECKS, "full_model"]
     assert os.path.exists(report)
 
 

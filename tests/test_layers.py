@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from capsaudio.autodiff import Graph, Tensor
-from capsaudio.errors import ConfigError, DegenerateBatch, InputTooShort, ShapeError
+from capsaudio.errors import (ConfigError, DegenerateBatch, InputTooShort, NumericsFault,
+                              ShapeError)
 from capsaudio.layers import AttentionPool, BatchNorm, BiLSTM, Dense, dropout, mean_pool
 
 
@@ -42,6 +43,26 @@ def test_bn_running_stats_updated(rng):
     frozen = bn.running_mean.copy()
     bn(Tensor(x), training=False)  # inference must not touch stats
     np.testing.assert_array_equal(bn.running_mean, frozen)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_bn_records_one_tape_node(rng, training):
+    bn = BatchNorm(3)
+    x = Tensor(rng.normal(size=(2, 4, 3)))
+    with Graph() as g:
+        out = bn(x, training=training)
+    assert [n.name for n in g.nodes] == ["batch_norm"]
+    assert g.nodes[0].out is out
+    assert all(a is b for a, b in zip(g.nodes[0].inputs, [x, bn.gamma, bn.beta]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_bn_infinite_variance_names_batch_norm(rng):
+    # The variance overflows to inf, which would make every xhat 0 and the
+    # output finite, so the op checks the variance itself.
+    x = Tensor(rng.normal(size=(2, 4, 3)) * 1e200)
+    with pytest.raises(NumericsFault, match="'batch_norm'"):
+        BatchNorm(3)(x, training=True)
 
 
 def test_bn_degenerate_batch():
@@ -179,6 +200,14 @@ def test_dropout_empirical_rate():
     np.testing.assert_allclose(survivors, 2.0)  # scaled by 1/(1-rate)
 
 
+def test_dropout_records_one_tape_node(rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    with Graph() as g:
+        out = dropout(x, 0.5, training=True, rng=rng)
+    assert [n.name for n in g.nodes] == ["dropout"]
+    assert set(np.unique(out.data / x.data)) <= {0.0, 2.0}
+
+
 def test_dropout_deterministic_under_seed(rng):
     x = Tensor(rng.normal(size=(50, 50)))
     a = dropout(x, 0.3, training=True, rng=np.random.default_rng(5)).data
@@ -221,3 +250,28 @@ def test_dense_forward(rng):
     d = Dense(rng, 3, 2)
     x = rng.normal(size=(4, 3))
     np.testing.assert_allclose(d(Tensor(x)).data, x @ d.W.data + d.b.data)
+
+
+def test_dense_identity_weight(rng):
+    d = Dense(rng, 2, 2)
+    d.W = Tensor(np.eye(2), requires_grad=True)
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(d(x).data, x.data)
+
+
+def test_dense_shape_error(rng):
+    d = Dense(rng, 3, 2)
+    with pytest.raises(ShapeError):
+        d(Tensor(np.zeros((2, 4))))
+    with pytest.raises(ShapeError):
+        d(Tensor(np.zeros(3)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_attention_infinite_score_names_attention(rng):
+    # tanh would map the overflowed score to a finite 1, so the op checks
+    # its pre-tanh scores.
+    att = AttentionPool(rng, 2, 3)
+    att.W = Tensor(np.full((2, 3), 1e308), requires_grad=True)
+    with pytest.raises(NumericsFault, match="'attention'"):
+        att(Tensor(np.ones((1, 4, 2))))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from capsaudio import train as train_module
 from capsaudio.autodiff import Graph
 from capsaudio.config import RunConfig
 from capsaudio.errors import ConfigError, DivergenceFault, InsufficientData, ShapeError
@@ -182,6 +183,7 @@ def test_divergence_fault_reports_location():
     with pytest.raises(DivergenceFault) as err:
         train(tiny_cfg(epochs=3), ds, ds)
     assert err.value.epoch == 1 and err.value.step == 0
+    assert "'batch_norm'" in str(err.value)
 
 
 def test_decoder_path_trains():
@@ -218,6 +220,22 @@ def test_returned_model_is_the_best_epoch_not_the_last():
     trained, metrics = train(tiny_cfg(lr=0.3, epochs=6), train_set, test_set)
     assert metrics.test_metric[-1] < metrics.best_test_metric
     assert evaluate(trained, test_set)[0] == metrics.best_test_metric
+
+
+def test_confusion_is_the_returned_models_with_one_evaluate_per_epoch(monkeypatch):
+    train_set = separable_dataset(jitter=0.5, seed=0)
+    test_set = separable_dataset(jitter=0.5, seed=10)
+    calls = []
+
+    def counted(trained, ds):
+        calls.append(ds)
+        return evaluate(trained, ds)
+
+    monkeypatch.setattr(train_module, "evaluate", counted)
+    trained, metrics = train(tiny_cfg(lr=0.3, epochs=6), train_set, test_set)
+    assert len(calls) == 6
+    assert metrics.best_epoch < 6  # the returned model is not the last epoch's
+    np.testing.assert_array_equal(metrics.confusion, evaluate(trained, test_set)[1])
 
 
 # --- batched inference --------------------------------------------------------
