@@ -65,10 +65,13 @@ class Graph:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(x) into .grad of every recorded tensor.
 
-        The first contribution to a tensor is stored as a C-contiguous copy
-        that owns its data, since a backward_fn may return a read-only
-        broadcast view or hand one array to two inputs; later
-        contributions are added into that copy.
+        The first contribution to a tensor is kept as is when it is a
+        fresh array: writeable, C-contiguous float64 that owns its data, not
+        the node's own output gradient and handed to no other input of the
+        node. Any other first contribution (a read-only broadcast view, an
+        array handed to two inputs) is stored as a copy. Later
+        contributions are summed into a new array, so backward never writes
+        into an array a backward_fn returned.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -81,24 +84,29 @@ class Graph:
                 if g is None or not tensor.requires_grad:
                     continue
                 if tensor.grad is None:
-                    tensor.grad = np.array(g, dtype=np.float64, order="C")
+                    fresh = (isinstance(g, np.ndarray) and g.dtype == np.float64
+                             and g.flags.writeable and g.flags.c_contiguous
+                             and g.flags.owndata and g is not node.out.grad
+                             and sum(o is g for o in grads) == 1)
+                    tensor.grad = g if fresh else np.array(g, dtype=np.float64, order="C")
                 else:
-                    tensor.grad += g
+                    tensor.grad = tensor.grad + g
 
 
-def _active_graph() -> Graph | None:
-    return _GRAPH_STACK[-1] if _GRAPH_STACK else None
+def recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op over inputs is recorded: a Graph is active and some
+    input requires a gradient."""
+    return bool(_GRAPH_STACK) and any(t.requires_grad for t in inputs)
 
 
 def apply_op(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
              backward_fn) -> Tensor:
     """Register a forward result on the active graph (if any)."""
     check_finite(name, out_data)
-    graph = _active_graph()
-    track = graph is not None and any(t.requires_grad for t in inputs)
+    track = recording(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        graph.nodes.append(Node(name, inputs, out, backward_fn))
+        _GRAPH_STACK[-1].nodes.append(Node(name, inputs, out, backward_fn))
     return out
 
 

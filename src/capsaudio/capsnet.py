@@ -118,7 +118,8 @@ class CapsuleLayer(Module):
             duhat = np.stack(left, axis=-1) @ np.stack(right, axis=-2)  # [B, C, P, D]
             duh = duhat.transpose(2, 0, 1, 3).reshape(P, B, C * D)
             du = (duh @ Wm).transpose(1, 0, 2)
-            dW = (duh.transpose(0, 2, 1) @ ut).reshape(P, C, D, I)
+            dW = np.empty((P, C, D, I))  # owned, so Graph.backward keeps it uncopied
+            np.matmul(duh.transpose(0, 2, 1), ut, out=dW.reshape(P, C * D, I))
             return du, dW
 
         return ad.apply_op("routing", (u, self.W), v, backward)

@@ -141,18 +141,21 @@ class BiLSTM(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         """One tape op over x and both directions' parameters; the backward
-        direction runs over the time-reversed, time-major [T, B, I] input."""
+        direction runs over the time-reversed, time-major [T, B, I] input.
+        Unrecorded calls run kernels.lstm_hidden, which keeps no state."""
         if x.data.ndim != 3:
             raise ShapeError(f"bilstm expects [batch, frames, dims], got {x.shape}")
         if x.data.shape[1] == 0:
             raise InputTooShort("bilstm got a zero-length sequence")
         H = self.hidden
         dirs = (self.fwd, self.bwd)
+        inputs = (x, *self.params().values())
         xf = np.ascontiguousarray(x.data.transpose(1, 0, 2))
         xs = (xf, np.ascontiguousarray(xf[::-1]))
-        runs = [kernels.lstm_forward(xd, d.Wx.data, d.Wh.data, d.b.data)
-                for xd, d in zip(xs, dirs)]
-        (hf, _, _), (hb, _, _) = runs
+        record = ad.recording(inputs)
+        kernel = kernels.lstm_forward if record else kernels.lstm_hidden
+        runs = [kernel(xd, d.Wx.data, d.Wh.data, d.b.data) for xd, d in zip(xs, dirs)]
+        hf, hb = (run[0] for run in runs) if record else runs
         out = np.concatenate([hf, hb[::-1]], axis=-1).transpose(1, 0, 2)
 
         def backward(g):
@@ -164,7 +167,7 @@ class BiLSTM(Module):
                 for gd, xd, d, run in zip(gs, xs, dirs, runs)]
             return ((dxf + dxb[::-1]).transpose(1, 0, 2), *dwf, *dwb)
 
-        return ad.apply_op("lstm", (x, *self.params().values()), out, backward)
+        return ad.apply_op("lstm", inputs, out, backward if record else None)
 
 
 def dropout(x: Tensor, rate: float, training: bool,

@@ -97,8 +97,7 @@ def materialize(manifest: DatasetManifest, root: str,
         if cache_dir is not None:
             cpath = _cache_path(cache_dir, rel)
             os.makedirs(os.path.dirname(cpath) or ".", exist_ok=True)
-            write_cache(cpath, m)
-            return read_cache(cpath)
+            write_cache(cpath, m)  # m is already f32-rounded: what a read would return
         return m
 
     paths = list(dict.fromkeys(e.path for e in manifest.entries))

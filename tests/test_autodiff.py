@@ -173,6 +173,32 @@ def test_backward_grad_from_broadcast_view_is_owned(rng):
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
+def test_backward_never_writes_an_array_an_op_keeps(rng):
+    held = rng.normal(size=(4, 2))
+    before = held.copy()
+    x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    with Graph() as g:
+        doubled = scale(x, 2.0)
+        kept = ad.apply_op("keep", (x,), x.data.copy(), lambda g: (held,))
+        loss = total(ad.add(doubled, kept))  # backward reaches "keep" first
+    g.backward(loss)
+    np.testing.assert_array_equal(held, before)
+    np.testing.assert_array_equal(x.grad, before + 2.0)
+
+
+@pytest.mark.parametrize("backward", [lambda g: (g, 2.0 * g),      # hands on out.grad
+                                      lambda g: (2.0 * g,) * 2])  # one array, two inputs
+def test_backward_never_adopts_a_shared_array(rng, backward):
+    a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    with Graph() as g:
+        out = ad.apply_op("pair", (a, b), a.data + b.data, backward)
+        loss = total(scale(out, 3.0))  # out.grad is a fresh array
+    g.backward(loss)
+    grads = (a.grad, b.grad, out.grad)
+    assert not any(np.shares_memory(p, q) for i, p in enumerate(grads) for q in grads[i + 1:])
+
+
 def test_backward_tensor_used_twice_accumulates(rng):
     x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     with Graph() as g:

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from capsaudio import kernels
 from capsaudio.autodiff import Graph, Tensor
 from capsaudio.errors import (ConfigError, DegenerateBatch, InputTooShort, NumericsFault,
                               ShapeError)
@@ -99,10 +102,21 @@ def hand_lstm_step(x, h_prev, c_prev, Wx, Wh, b):
     return o * np.tanh(c), c
 
 
-def test_single_timestep_matches_hand_recurrence(rng):
+def bilstm_out(net, x, record):
+    """net(x) on a recording Graph (lstm_forward) or with none (lstm_hidden)."""
+    if not record:
+        return net(Tensor(x)).data
+    with Graph() as g:
+        out = net(Tensor(x, requires_grad=True))
+    assert [n.name for n in g.nodes] == ["lstm"]
+    return out.data
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_single_timestep_matches_hand_recurrence(rng, record):
     net = BiLSTM(rng, 3, 2)
     x = rng.normal(size=(1, 1, 3))
-    out = net(Tensor(x)).data
+    out = bilstm_out(net, x, record)
 
     h0 = np.zeros((1, 2))
     hf, _ = hand_lstm_step(x[:, 0], h0, h0, net.fwd.Wx.data, net.fwd.Wh.data,
@@ -113,10 +127,11 @@ def test_single_timestep_matches_hand_recurrence(rng):
                                atol=1e-12)
 
 
-def test_multistep_matches_hand_recurrence(rng):
+@pytest.mark.parametrize("record", [False, True])
+def test_multistep_matches_hand_recurrence(rng, record):
     net = BiLSTM(rng, 2, 3)
     x = rng.normal(size=(2, 4, 2))
-    out = net(Tensor(x)).data
+    out = bilstm_out(net, x, record)
 
     def run_dir(params, xs):
         h = np.zeros((2, 3))
@@ -131,6 +146,38 @@ def test_multistep_matches_hand_recurrence(rng):
     fwd = run_dir(net.fwd, x)
     bwd = run_dir(net.bwd, x[:, ::-1])[:, ::-1]
     np.testing.assert_allclose(out, np.concatenate([fwd, bwd], axis=-1), atol=1e-12)
+
+
+@pytest.mark.parametrize("T", [1, 40])
+@pytest.mark.parametrize("B", [1, 32])
+def test_lstm_hidden_matches_lstm_forward_bits(rng, T, B):
+    I, H = 6, 5
+    x = rng.normal(size=(T, B, I))
+    Wx, Wh = rng.normal(size=(I, 4 * H)), rng.normal(size=(H, 4 * H))
+    b = rng.normal(size=4 * H)
+    h, c, gates = kernels.lstm_forward(x, Wx, Wh, b)
+    assert c.shape == (T, B, H) and gates.shape == (T, 4, B, H)
+    assert kernels.lstm_hidden(x, Wx, Wh, b).tobytes() == h.tobytes()
+
+
+def test_bilstm_same_bits_recorded_or_not(rng):
+    net = BiLSTM(rng, 4, 3)
+    x = rng.normal(size=(3, 7, 4))
+    assert bilstm_out(net, x, True).tobytes() == bilstm_out(net, x, False).tobytes()
+
+
+def test_bilstm_nan_input_names_lstm_at_inference(rng):
+    x = np.full((1, 4, 3), np.nan)
+    with pytest.raises(NumericsFault, match="'lstm'"):
+        BiLSTM(rng, 3, 2)(Tensor(x))
+
+
+def test_lstm_kernel_signatures_are_pinned():
+    # perfbench/spans.py wraps both kernels with wrapper(*args) and passes the
+    # same positional arguments to its FLOP counters, so their arity is fixed.
+    for fn, n in ((kernels.lstm_forward, 4), (kernels.lstm_backward, 7)):
+        kinds = [p.kind for p in inspect.signature(fn).parameters.values()]
+        assert kinds == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * n
 
 
 def test_bilstm_zero_length_sequence(rng):

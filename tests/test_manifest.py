@@ -111,6 +111,20 @@ def test_materialize_cache_bit_identical(tmp_path):
         assert np.array_equal(b, c)
 
 
+def test_materialize_cold_pass_reads_no_cache(tmp_path, monkeypatch):
+    man = make_wav_dataset(tmp_path)
+    reads = []
+    real_read = manifest.read_cache
+    monkeypatch.setattr(manifest, "read_cache", lambda p: reads.append(p) or real_read(p))
+    cache = str(tmp_path / "cache")
+    cold = materialize(man, str(tmp_path), FeatureConfig(), cache_dir=cache)
+    assert reads == []
+    warm = materialize(man, str(tmp_path), FeatureConfig(), cache_dir=cache)
+    assert len(reads) == len(man.entries)
+    for a, b in zip(cold, warm):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_materialize_shared_cache_never_torn(tmp_path):
     # Eight materialize calls on one empty cache at once: calls that find the
     # cache file read it while others are still writing it.
