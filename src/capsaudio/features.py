@@ -6,10 +6,15 @@ coefficients (DCT rows 1..19, row 0 dropped since log frame energy is carried
 separately) plus the log energy of the pre-emphasized, windowed frame. First
 and second regression derivatives over the 20 static dims give 60 dims total.
 A feature matrix is a plain [frames, dims] float64 array.
+
+The Hamming window, the transposed mel filterbank and the DCT rows that mfcc
+multiplies by are built once per FeatureConfig and cached read-only
+(_mfcc_tables); mel_filterbank and dct_matrix return fresh arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -107,6 +112,24 @@ def _deltas(x: np.ndarray, half: int) -> np.ndarray:
     return out / denom
 
 
+@functools.cache
+def _mfcc_tables(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window, filterbank^T and DCT rows 1..n_coeffs (transposed) that
+    mfcc multiplies by, read-only. The two matrices stay transposed views,
+    not contiguous copies: the layout decides the BLAS call, and so the bits."""
+    tables = (np.hamming(cfg.frame_len), mel_filterbank(cfg).T,
+              dct_matrix(cfg.n_coeffs + 1, cfg.n_mels).T[:, 1:])
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _frames(x: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """The [frames, frame_len] read-only strided view of x, one row per hop."""
+    rows = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)
+    return rows[::cfg.hop_len][:n_frames_for(x.size, cfg)]
+
+
 def mfcc(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """The [frames, 60] float64 array of MFCC(+energy) + delta + delta-delta."""
     x = clip.samples
@@ -117,22 +140,20 @@ def mfcc(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
         raise InputTooShort(
             f"clip has {x.size} samples, need at least {cfg.frame_len}")
 
-    n_frames = n_frames_for(x.size, cfg)
-    frame_len, hop = cfg.frame_len, cfg.hop_len
+    window, mel_fb, dct = _mfcc_tables(cfg)
 
     # Pre-emphasis over the whole signal, then strided framing.
     emph = np.empty_like(x)
     emph[0] = x[0]
     emph[1:] = x[1:] - cfg.preemphasis * x[:-1]
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = emph[idx] * np.hamming(frame_len)[None, :]
+    frames = _frames(emph, cfg) * window
 
     log_energy = np.log(np.maximum(np.sum(frames * frames, axis=1), LOG_FLOOR))
 
     spectrum = np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1))
-    mel = spectrum @ mel_filterbank(cfg).T
+    mel = spectrum @ mel_fb
     log_mel = np.log(np.maximum(mel, LOG_FLOOR))
-    ceps = log_mel @ dct_matrix(cfg.n_coeffs + 1, cfg.n_mels).T[:, 1:]  # rows 1..n
+    ceps = log_mel @ dct  # rows 1..n
 
     static = np.concatenate([ceps, log_energy[:, None]], axis=1)
     d1 = _deltas(static, cfg.delta_window)

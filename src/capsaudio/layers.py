@@ -15,7 +15,12 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot(rng: np.random.Generator | None, shape, fan_in: int,
+           fan_out: int) -> np.ndarray:
+    """Uniform Glorot initialisation; rng=None builds a zero placeholder of
+    the shape, drawing nothing, for a checkpoint load to fill."""
+    if rng is None:
+        return np.zeros(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
@@ -165,7 +170,9 @@ class BiLSTM(Module):
                 kernels.lstm_backward(np.ascontiguousarray(gd), xd, d.Wx.data, d.Wh.data,
                                       *run)
                 for gd, xd, d, run in zip(gs, xs, dirs, runs)]
-            return ((dxf + dxb[::-1]).transpose(1, 0, 2), *dwf, *dwb)
+            dx = np.empty(x.data.shape)  # owned [B, T, I], so Graph.backward keeps it
+            np.add(dxf, dxb[::-1], out=dx.transpose(1, 0, 2))
+            return (dx, *dwf, *dwb)
 
         return ad.apply_op("lstm", inputs, out, backward if record else None)
 

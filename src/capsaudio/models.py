@@ -148,7 +148,11 @@ def sigmoid_xent(logits: Tensor, targets: np.ndarray | None):
 
 
 def build_model(cfg, n_dims: int, n_classes: int, rng):
-    """Construct the architecture named by cfg.model."""
+    """Construct the architecture named by cfg.model.
+
+    rng=None builds placeholders: every randomly initialised weight is zero
+    and nothing is drawn, for train.load_blocks to fill from a checkpoint.
+    """
     if cfg.model == "caps":
         return CapsModel(rng, n_dims, cfg.hidden_size, cfg.T_fix, n_classes,
                          cfg.caps_dim, cfg.routing_iters, cfg.dropout,

@@ -227,12 +227,17 @@ def load_blocks(model, blocks: dict[str, np.ndarray]) -> None:
 
 
 def load_trained(path) -> TrainedModel:
-    """Rebuild a TrainedModel from a checkpoint; shapes come from the blocks."""
+    """Rebuild a TrainedModel from a checkpoint; shapes come from the blocks.
+
+    The model is built with rng=None (placeholders, no random draws) and
+    load_blocks then fills every parameter and state array; a missing block
+    raises KeyError, so no placeholder is returned.
+    """
     cfg, blocks = load_checkpoint(path)
     n_dims = blocks["bn.gamma"].shape[0]
     n_classes = (blocks["caps.W"].shape[1] if cfg.model == "caps"
                  else blocks["head.b"].shape[0])
-    model = build_model(cfg, n_dims, n_classes, np.random.default_rng(0))
+    model = build_model(cfg, n_dims, n_classes, None)
     load_blocks(model, blocks)
     scaler = None
     if "scaler.min" in blocks:

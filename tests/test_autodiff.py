@@ -6,9 +6,10 @@ import pytest
 
 from capsaudio import autodiff as ad
 from capsaudio.autodiff import Graph, Tensor
-from capsaudio.capsnet import length_layer
+from capsaudio.capsnet import CapsuleLayer, length_layer
 from capsaudio.errors import NumericsFault, ShapeError
 from capsaudio.gradcheck import CHECKS, _make_full_model, check_op, gradcheck, weighted_sum
+from capsaudio.layers import BiLSTM
 
 
 def scale(x, c, name="scale"):
@@ -197,6 +198,23 @@ def test_backward_never_adopts_a_shared_array(rng, backward):
     g.backward(loss)
     grads = (a.grad, b.grad, out.grad)
     assert not any(np.shares_memory(p, q) for i, p in enumerate(grads) for q in grads[i + 1:])
+
+
+@pytest.mark.parametrize("make", [lambda rng: BiLSTM(rng, 3, 2),
+                                  lambda rng: CapsuleLayer(rng, 4, 3, 2, 2, 2)],
+                         ids=["bilstm", "routing"])
+def test_lstm_and_routing_input_grads_are_adopted_uncopied(rng, make):
+    layer = make(rng)
+    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)  # [B, T or P, I]
+    with Graph() as g:
+        loss = weighted_sum(layer(x))
+    node = g.nodes[0]
+    returned = []
+    real = node.backward_fn
+    node.backward_fn = lambda gr: returned.append(real(gr)) or returned[-1]
+    g.backward(loss)
+    assert x.grad is returned[0][0]  # owned [B, ., I], so kept as returned
+    assert x.grad.shape == x.shape and x.grad.flags.c_contiguous
 
 
 def test_backward_tensor_used_twice_accumulates(rng):

@@ -171,3 +171,56 @@ def test_load_blocks_missing_block_raises():
     del blocks["state.bn.running_var"]
     with pytest.raises(KeyError):
         load_blocks(net, blocks)
+
+
+# --- cold start: placeholders, load failures, bits ------------------------------
+
+@pytest.mark.parametrize("model, decoder", [("caps", False), ("caps", True),
+                                            ("lstm", False), ("att", False)])
+def test_placeholder_build_has_seeded_names_and_shapes(model, decoder):
+    cfg = tiny_cfg(model=model, use_decoder=decoder)
+    seeded = [build_model(cfg, 4, 2, np.random.default_rng(s)) for s in (0, 1)]
+    placeholder = build_model(cfg, 4, 2, None)
+    assert ({n: t.shape for n, t in placeholder.params().items()}
+            == {n: t.shape for n, t in seeded[0].params().items()})
+    assert list(placeholder.params()) == list(seeded[0].params())
+    assert list(placeholder.state()) == list(seeded[0].state())
+    for name, arr in placeholder.state().items():
+        assert arr.tobytes() == seeded[0].state()[name].tobytes()
+    drawn = 0
+    for name, t in placeholder.params().items():
+        a, b = (s.params()[name].data for s in seeded)
+        if np.array_equal(a, b):  # fixed init (BN gamma/beta, LSTM bias): kept
+            assert t.data.tobytes() == a.tobytes()
+        else:  # a Glorot draw: zero placeholder
+            drawn += 1
+            assert not t.data.any()
+    assert drawn == len([n for n in placeholder.params() if n.endswith(("W", "Wx", "Wh", "v"))])
+
+
+def _trained_checkpoint(tmp_path, model, **kw):
+    ds = separable_dataset(jitter=0.05)
+    trained, _ = train(tiny_cfg(model=model, epochs=2, **kw), ds, ds)
+    trained.scaler = ScalerParams(np.zeros(4), np.ones(4))
+    path = tmp_path / "m.cpsn"
+    trained.save(path)
+    return trained, path, ds
+
+
+@pytest.mark.parametrize("model, missing", [("caps", "lstm2.bwd.Wh"), ("caps", "caps.W"),
+                                            ("att", "att.v"), ("lstm", "bn.beta")])
+def test_load_trained_missing_parameter_block_raises(tmp_path, model, missing):
+    trained, path, _ = _trained_checkpoint(tmp_path, model)
+    cfg, blocks = load_checkpoint(path)
+    del blocks[missing]
+    save_checkpoint(path, cfg, blocks)
+    with pytest.raises(KeyError):
+        load_trained(path)
+
+
+@pytest.mark.parametrize("model, decoder", [("caps", False), ("caps", True),
+                                            ("lstm", False), ("att", False)])
+def test_load_trained_scores_same_bits_as_trained(tmp_path, model, decoder):
+    trained, path, ds = _trained_checkpoint(tmp_path, model, use_decoder=decoder)
+    loaded = load_trained(path)
+    assert loaded.scores(ds.X).tobytes() == trained.scores(ds.X).tobytes()

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from capsaudio import features
 from capsaudio.audio import AudioClip
 from capsaudio.errors import FormatError, InputTooShort, ShapeError
 from capsaudio.features import (FeatureConfig, apply_scaler, fit_scaler, mfcc, n_frames_for,
                                 read_cache, write_cache)
+from capsaudio.manifest import load_manifest, materialize
+from capsaudio.synthdata import make_digit_dataset
 from reference_mfcc import direct_dft_magnitude, naive_mfcc
 
 CFG = FeatureConfig()
@@ -69,6 +72,73 @@ def test_spectrum_fft_vs_direct_dft(rng):
         fft_mag = np.abs(np.fft.rfft(frame, n=1024))
         dft_mag = direct_dft_magnitude(frame, 1024)
         assert rel_err(fft_mag, dft_mag) <= 1e-6
+
+
+# --- cached tables and framing ---------------------------------------------
+
+@pytest.fixture()
+def fresh_tables():
+    features._mfcc_tables.cache_clear()
+    yield
+    features._mfcc_tables.cache_clear()
+
+
+def test_cached_tables_are_read_only(fresh_tables):
+    tables = features._mfcc_tables(CFG)
+    assert features._mfcc_tables(CFG) is tables
+    for t in tables:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = 1.0
+
+
+def test_cached_tables_are_the_builders_arrays(fresh_tables):
+    window, mel_fb, dct = features._mfcc_tables(CFG)
+    assert window.tobytes() == np.hamming(CFG.frame_len).tobytes()
+    assert np.array_equal(mel_fb, features.mel_filterbank(CFG).T)
+    assert np.array_equal(dct, features.dct_matrix(CFG.n_coeffs + 1, CFG.n_mels).T[:, 1:])
+    assert features.mel_filterbank(CFG).flags.writeable  # builders stay fresh
+
+
+def test_materialize_builds_each_table_once(tmp_path, monkeypatch, fresh_tables):
+    calls = {"hamming": 0, "mel_filterbank": 0, "dct_matrix": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(np, "hamming")
+    counting(features, "mel_filterbank")
+    counting(features, "dct_matrix")
+    train_csv, _ = make_digit_dataset(str(tmp_path), digits=range(4), clips_per=3, seed=1)
+    man = load_manifest(train_csv, "train")
+    assert len(man.entries) >= 20
+    assert len(materialize(man, str(tmp_path))) == len(man.entries)
+    assert calls == {"hamming": 1, "mel_filterbank": 1, "dct_matrix": 1}
+
+
+def test_strided_framing_matches_index_framing(rng):
+    for _ in range(50):
+        n = int(rng.integers(CFG.frame_len, 6 * CFG.frame_len))
+        emph = rng.normal(size=n)
+        n_frames = n_frames_for(n, CFG)
+        idx = np.arange(CFG.frame_len)[None, :] + CFG.hop_len * np.arange(n_frames)[:, None]
+        framed = features._frames(emph, CFG)
+        assert framed.shape == (n_frames, CFG.frame_len)
+        assert framed.tobytes() == emph[idx].tobytes()
+        window = np.hamming(CFG.frame_len)
+        assert (framed * window).tobytes() == (emph[idx] * window[None, :]).tobytes()
+
+
+def test_mfcc_same_bits_after_cache_clear(rng, fresh_tables):
+    clip = AudioClip(rng.normal(size=9000) * 0.1, 16000)
+    before = mfcc(clip)
+    features._mfcc_tables.cache_clear()
+    assert mfcc(clip).tobytes() == before.tobytes()
 
 
 # --- scaler ---------------------------------------------------------------
