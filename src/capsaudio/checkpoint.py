@@ -10,28 +10,39 @@ the fitted feature scaler ('scaler.min' / 'scaler.max'). Parameter and state
 names follow layers.Module: the dotted attribute path of each Tensor
 (parameter) or ndarray (state) attribute, in assignment order, e.g.
 'lstm1.fwd.Wx' and 'state.bn.running_mean'. Round-trips are bit-exact.
+
+Both directions stream block by block and copy each payload once.
+save_checkpoint writes a block's header and then the array's own buffer.
+load_checkpoint reads the header fields in order from the open file and
+reads each payload straight into a fresh array of the declared shape; it
+checks every declared length against the bytes left in the file before it
+allocates, so a forged header raises FormatError instead of asking for
+memory the file cannot fill.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
 from .atomic import atomic_write
 from .config import RunConfig, config_from_text, config_to_text
-from .errors import FormatError
+from .errors import FormatError, MissingFile
 
 MAGIC = b"CPSN"
 VERSION = 1
 
 
-def _pack_block(name: str, arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype="<f8")  # tobytes() serializes in C order
+def _pack_block(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The block header for arr, and arr as a C-ordered '<f8' array whose
+    buffer is the payload (arr itself when it already is one)."""
+    arr = np.asarray(arr, dtype="<f8", order="C")
     nb = name.encode("utf-8")
-    head = struct.pack("<H", len(nb)) + nb + struct.pack("<B", arr.ndim)
-    head += b"".join(struct.pack("<I", d) for d in arr.shape)
-    return head + arr.tobytes()
+    head = struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape)
+    return head, arr
 
 
 def save_checkpoint(path, cfg: RunConfig, blocks: dict[str, np.ndarray]) -> None:
@@ -41,39 +52,65 @@ def save_checkpoint(path, cfg: RunConfig, blocks: dict[str, np.ndarray]) -> None
         fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes
                  + struct.pack("<I", len(blocks)))
         for name, arr in blocks.items():
-            fh.write(_pack_block(name, arr))
+            head, payload = _pack_block(name, arr)
+            fh.write(head)
+            fh.write(payload)
 
 
 def load_checkpoint(path) -> tuple[RunConfig, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[:4] != MAGIC:
-        raise FormatError(f"{path}: not a checkpoint (bad magic)")
-    version, config_len = struct.unpack_from("<II", raw, 4)
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
+    """The config and the blocks of the checkpoint at path.
+
+    Every block is its own aligned, C-contiguous, writeable array that owns
+    its data. Raises MissingFile if path does not exist and FormatError if
+    the file breaks the format.
+    """
     try:
-        cfg = config_from_text(raw[pos : pos + config_len].decode("utf-8"))
-        pos += config_len
-        (n_blocks,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        blocks: dict[str, np.ndarray] = {}
-        for _ in range(n_blocks):
-            (name_len,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            name = raw[pos : pos + name_len].decode("utf-8")
-            pos += name_len
-            (ndim,) = struct.unpack_from("<B", raw, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, pos) if ndim else ()
-            pos += 4 * ndim
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
-            pos += 8 * count
-            blocks[name] = arr.reshape(shape).copy()
-    except (struct.error, UnicodeDecodeError, ValueError) as e:
-        raise FormatError(f"{path}: truncated or corrupt checkpoint: {e}") from None
-    if pos != len(raw):
-        raise FormatError(f"{path}: {len(raw) - pos} trailing bytes")
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise MissingFile(f"{path}: no such checkpoint file") from None
+    with fh:
+        left = os.fstat(fh.fileno()).st_size
+
+        def claim(n: int, what: str) -> None:
+            nonlocal left
+            if n > left:
+                raise FormatError(f"{path}: truncated or corrupt checkpoint: "
+                                  f"{what} needs {n} bytes, {left} left")
+            left -= n
+
+        def read(n: int, what: str) -> bytes:
+            claim(n, what)
+            data = fh.read(n)
+            if len(data) != n:
+                raise FormatError(f"{path}: checkpoint shrank while reading {what}")
+            return data
+
+        def unpack(fmt: str, what: str) -> tuple:
+            return struct.unpack(fmt, read(struct.calcsize(fmt), what))
+
+        if left < 12 or read(4, "magic") != MAGIC:
+            raise FormatError(f"{path}: not a checkpoint (bad magic)")
+        version, config_len = unpack("<II", "version")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        try:
+            cfg = config_from_text(read(config_len, "config").decode("utf-8"))
+            (n_blocks,) = unpack("<I", "block count")
+            blocks: dict[str, np.ndarray] = {}
+            for _ in range(n_blocks):
+                (name_len,) = unpack("<H", "block name length")
+                name = read(name_len, "block name").decode("utf-8")
+                (ndim,) = unpack("<B", f"block {name!r}")
+                shape = unpack(f"<{ndim}I", f"block {name!r} shape")
+                nbytes = 8 * math.prod(shape)
+                claim(nbytes, f"block {name!r} payload")
+                arr = np.empty(shape, dtype="<f8")
+                if fh.readinto(arr) != nbytes:
+                    raise FormatError(f"{path}: checkpoint shrank while reading "
+                                      f"block {name!r}")
+                blocks[name] = arr
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: corrupt checkpoint: {e}") from None
+        if left:
+            raise FormatError(f"{path}: {left} trailing bytes")
     return cfg, blocks

@@ -42,6 +42,15 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _sha256_file(path) -> str:
+    """Hex sha256 of the file at path, read in 1 MiB pieces."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
+    return h.hexdigest()
+
+
 def _ensure_run_dir(path: str, force: bool) -> None:
     if os.path.isdir(path) and os.listdir(path) and not force:
         raise ConfigError(f"run directory {path} exists and is not empty "
@@ -148,8 +157,7 @@ def _cmd_analyze(args) -> int:
         raise ConfigError(f"no {args.split} clips labeled {args.target_class!r}")
 
     rows, pca = capsule_scatter(trained, pairs, class_index)
-    with open(args.checkpoint, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = _sha256_file(args.checkpoint)
     table = os.path.join(args.out, f"scatter_{args.kind}.csv")
     write_scatter(table, rows, digest, pca)
     print(f"analyze: {len(rows)} projections of {args.target_class} -> {table}")
@@ -190,12 +198,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="config override, repeatable")
         p.add_argument("--features", default=None, help="feature cache directory")
         p.add_argument("--force", action="store_true")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("features", help="materialize the feature cache")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=_cmd_features)
 
     p = sub.add_parser("train", help="train one model")
@@ -244,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=None)
+    p.add_argument("--pairs", type=_positive_int, default=None)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_synth_multilabel)
     return parser

@@ -25,7 +25,8 @@ class ShapeError(CapsAudioError):
 
 
 class MissingFile(CapsAudioError):
-    """A manifest entry points at a file that does not exist."""
+    """A file the operation needs (manifest, manifest entry, checkpoint)
+    does not exist."""
 
 
 class InsufficientData(CapsAudioError):

@@ -17,10 +17,14 @@ BN_MOMENTUM = 0.9
 
 def glorot(rng: np.random.Generator | None, shape, fan_in: int,
            fan_out: int) -> np.ndarray:
-    """Uniform Glorot initialisation; rng=None builds a zero placeholder of
-    the shape, drawing nothing, for a checkpoint load to fill."""
+    """Uniform Glorot initialisation.
+
+    rng=None draws nothing and returns a placeholder for a checkpoint load
+    to replace: a read-only zero view of the shape (all strides 0), which
+    holds no memory and cannot be written by mistake.
+    """
     if rng is None:
-        return np.zeros(shape)
+        return np.broadcast_to(np.float64(0.0), shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 

@@ -37,7 +37,11 @@ class DatasetManifest:
 
 def load_manifest(path, split: str) -> DatasetManifest:
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise MissingFile(f"{path}: no such manifest file") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -150,8 +150,9 @@ def sigmoid_xent(logits: Tensor, targets: np.ndarray | None):
 def build_model(cfg, n_dims: int, n_classes: int, rng):
     """Construct the architecture named by cfg.model.
 
-    rng=None builds placeholders: every randomly initialised weight is zero
-    and nothing is drawn, for train.load_blocks to fill from a checkpoint.
+    rng=None builds placeholders: nothing is drawn, and every randomly
+    initialised weight is a read-only zero view that holds no memory, for
+    train.load_blocks to replace from a checkpoint.
     """
     if cfg.model == "caps":
         return CapsModel(rng, n_dims, cfg.hidden_size, cfg.T_fix, n_classes,

@@ -229,9 +229,10 @@ def load_blocks(model, blocks: dict[str, np.ndarray]) -> None:
 def load_trained(path) -> TrainedModel:
     """Rebuild a TrainedModel from a checkpoint; shapes come from the blocks.
 
-    The model is built with rng=None (placeholders, no random draws) and
-    load_blocks then fills every parameter and state array; a missing block
-    raises KeyError, so no placeholder is returned.
+    The model is built with rng=None (read-only placeholders, no random
+    draws) and load_blocks then replaces every parameter and state array
+    with the checkpoint's; a missing block raises KeyError, so no
+    placeholder is returned.
     """
     cfg, blocks = load_checkpoint(path)
     n_dims = blocks["bn.gamma"].shape[0]

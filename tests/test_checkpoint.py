@@ -1,12 +1,15 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from capsaudio import checkpoint
 from capsaudio.checkpoint import load_checkpoint, save_checkpoint
-from capsaudio.config import RunConfig
-from capsaudio.errors import FormatError
+from capsaudio.config import RunConfig, config_to_text
+from capsaudio.errors import FormatError, MissingFile
 from capsaudio.features import ScalerParams
-from capsaudio.layers import Module
+from capsaudio.layers import Module, glorot
 from capsaudio.models import build_model
 from capsaudio.train import evaluate, load_blocks, load_trained, model_blocks, train
 from test_train import separable_dataset, tiny_cfg
@@ -109,6 +112,84 @@ def test_save_load_save_is_stable(tmp_path):
     trained.save(tmp_path / "a.cpsn")
     load_trained(tmp_path / "a.cpsn").save(tmp_path / "b.cpsn")
     assert (tmp_path / "a.cpsn").read_bytes() == (tmp_path / "b.cpsn").read_bytes()
+
+
+# --- streamed loader: odd blocks, forged headers, array ownership -------------
+
+def _header(n_blocks: int) -> bytes:
+    """A valid file header (magic, version, default config) for n_blocks."""
+    config = config_to_text(RunConfig()).encode("utf-8")
+    return (b"CPSN" + struct.pack("<II", 1, len(config)) + config
+            + struct.pack("<I", n_blocks))
+
+
+def test_zero_d_and_zero_size_blocks_round_trip(tmp_path):
+    blocks = {"scalar": np.array(-0.0), "empty": np.zeros((0,)),
+              "empty3": np.zeros((2, 0, 3)), "after": np.arange(3.0)}
+    path = tmp_path / "m.cpsn"
+    save_checkpoint(path, RunConfig(), blocks)
+    _, back = load_checkpoint(path)
+    for name, arr in blocks.items():
+        assert back[name].shape == arr.shape
+        assert back[name].tobytes() == arr.tobytes()
+
+
+def test_payload_cut_mid_block(tmp_path):
+    path = tmp_path / "m.cpsn"
+    save_checkpoint(path, RunConfig(), {"a": np.ones(4), "b": np.ones(4)})
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-(40 + 16)])  # all of "b" and half of "a"'s 32-byte payload
+    with pytest.raises(FormatError, match="'a' payload"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 8, b"CPSN"])
+def test_trailing_bytes_after_last_block(tmp_path, extra):
+    path = tmp_path / "m.cpsn"
+    save_checkpoint(path, RunConfig(), {"x": np.array(1.0), "e": np.zeros((0,))})
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(FormatError, match=f"{len(extra)} trailing bytes"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("forged", [
+    # one block "x" declaring (2**32-1,)**4 f64 values, far past int64
+    lambda: _header(1) + struct.pack("<H1sB4I", 1, b"x", 4, *(2**32 - 1,) * 4) + b"\0" * 64,
+    # a config length of 4 GiB
+    lambda: b"CPSN" + struct.pack("<II", 1, 2**32 - 1) + b"\0" * 88,
+], ids=["block_shape", "config_len"])
+def test_forged_lengths_raise_before_allocating(tmp_path, forged):
+    path = tmp_path / "m.cpsn"
+    path.write_bytes(forged())
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="needs"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_missing_checkpoint_raises_missing_file(tmp_path):
+    with pytest.raises(MissingFile, match="no such checkpoint"):
+        load_checkpoint(tmp_path / "absent.cpsn")
+
+
+def test_loaded_arrays_are_owned_aligned_and_separate(tmp_path, rng):
+    blocks = {"w": rng.normal(size=(3, 5)), "v": rng.normal(size=7),
+              "s": np.array(1.5), "c": rng.normal(size=(2, 3, 4))}
+    path = tmp_path / "m.cpsn"
+    save_checkpoint(path, RunConfig(), blocks)
+    _, back = load_checkpoint(path)
+    for arr in back.values():
+        assert arr.dtype == np.float64
+        assert arr.flags.aligned and arr.flags.c_contiguous
+        assert arr.flags.writeable and arr.flags.owndata
+    arrays = list(back.values())
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 # --- parameter naming ---------------------------------------------------------
@@ -224,3 +305,31 @@ def test_load_trained_scores_same_bits_as_trained(tmp_path, model, decoder):
     trained, path, ds = _trained_checkpoint(tmp_path, model, use_decoder=decoder)
     loaded = load_trained(path)
     assert loaded.scores(ds.X).tobytes() == trained.scores(ds.X).tobytes()
+
+
+def test_glorot_placeholder_is_read_only_and_holds_no_memory():
+    ph = glorot(None, (64, 256), 64, 256)
+    assert ph.shape == (64, 256) and ph.dtype == np.float64
+    assert ph.strides == (0, 0)
+    assert not ph.flags.writeable
+    assert not ph.any()
+    with pytest.raises(ValueError):
+        ph[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("model, decoder", [("caps", False), ("caps", True),
+                                            ("lstm", False), ("att", False)])
+def test_placeholders_are_views_and_load_trained_replaces_every_one(tmp_path, model,
+                                                                     decoder):
+    cfg = tiny_cfg(model=model, use_decoder=decoder)
+    for name, t in build_model(cfg, 4, 2, None).params().items():
+        if name.endswith(("W", "Wx", "Wh", "v")):  # Glorot-drawn: a placeholder
+            assert not t.data.flags.writeable and not any(t.data.strides)
+        else:  # fixed init (BN gamma/beta, biases): a real array
+            assert t.data.flags.writeable and t.data.flags.owndata
+    _, path, _ = _trained_checkpoint(tmp_path, model, use_decoder=decoder)
+    loaded = load_trained(path)
+    for t in loaded.model.params().values():
+        assert t.data.flags.writeable and t.data.flags.owndata
+    for arr in loaded.model.state().values():
+        assert arr.flags.writeable

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 
@@ -47,6 +48,13 @@ def test_usage_errors():
     assert dispatch(["unknown-verb"]) == 2
     assert dispatch(["train"]) == 2  # missing required flags
     assert dispatch(["gradcheck", "--trials", "0"]) == 2  # would check nothing
+    for n in ("0", "-1"):
+        run = ["--config", "c", "--data", "d", "--out", "o", "--jobs", n]
+        assert dispatch(["features", "--data", "d", "--out", "o", "--jobs", n]) == 2
+        assert dispatch(["train"] + run) == 2
+        assert dispatch(["grid"] + run + ["--axis", "routing"]) == 2
+        assert dispatch(["synth-multilabel", "--data", "d", "--out", "o",
+                         "--pairs", n]) == 2
 
 
 def test_bad_seed_list_is_usage_error(tiny_data, tiny_cfg_file, tmp_path, capsys):
@@ -220,6 +228,34 @@ def test_analyze_verb(run_dir, tiny_data, tmp_path):
     assert lines[0].startswith("# checkpoint: ")
     assert lines[2] == "level,pc1,pc2"
     assert len(lines) == 3 + 2 * 4  # 2 test clips x 4 default levels
+
+
+def test_analyze_digest_is_checkpoint_sha256(run_dir, tiny_data, tmp_path):
+    ckpt = os.path.join(run_dir, "checkpoint.cpsn")
+    out = str(tmp_path / "scatter")
+    assert dispatch(["analyze", "--checkpoint", ckpt, "--data", tiny_data,
+                     "--kind", "speed", "--target-class", "digit_0", "--out", out]) == 0
+    with open(os.path.join(out, "scatter_speed.csv")) as fh:
+        header = fh.readline()
+    with open(ckpt, "rb") as fh:
+        assert header == f"# checkpoint: {hashlib.sha256(fh.read()).hexdigest()}\n"
+
+
+def test_missing_checkpoint_is_one_error_line(tiny_data, capsys):
+    code = dispatch(["eval", "--checkpoint", "/nonexistent/m.cpsn", "--data", tiny_data])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: /nonexistent/m.cpsn: no such checkpoint file\n"
+
+
+def test_missing_data_dir_is_one_error_line(tmp_path, capsys):
+    missing = str(tmp_path / "absent")
+    code = dispatch(["features", "--data", missing, "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no such manifest file" in err
+    assert err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "x")
 
 
 def test_analyze_unknown_class(run_dir, tiny_data, tmp_path):
