@@ -8,11 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_text
 from .audio import AudioClip, resample_linear
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 from .features import write_cache
 from .manifest import DatasetManifest, clip_features, materialize
-from .train import TrainedModel, make_dataset, model_inputs
+from .train import TrainedModel
 
 DEFAULT_AMPLITUDE_LEVELS = (-0.1, -0.05, 0.05, 0.1)
 DEFAULT_SPEED_LEVELS = (0.8, 0.9, 1.1, 1.25)
@@ -91,12 +92,9 @@ def capsule_scatter(trained: TrainedModel,
     clip the centered projection is the origin and pca is None; with two,
     only the first component is fit and pc2 is 0. Inputs are built as for training.
     """
-    if trained.scaler is None:
-        raise ConfigError("checkpoint carries no feature scaler")
-    X = model_inputs([clip_features(clip) for clip, _ in clips_with_levels],
-                     trained.scaler, trained.cfg.T_fix)
+    X = trained.inputs([clip_features(clip) for clip, _ in clips_with_levels])
     caps = trained.caps_vectors(X)  # raises ConfigError unless a caps model
-    n_classes = trained.n_classes
+    n_classes = trained.model.n_classes
     if not 0 <= class_index < n_classes:
         raise ConfigError(f"class index {class_index} not in checkpoint "
                           f"(has {n_classes} classes)")
@@ -117,12 +115,11 @@ def capsule_scatter(trained: TrainedModel,
 def write_scatter(path, rows, checkpoint_hash: str, pca: PCAModel | None) -> None:
     ratios = ("" if pca is None
               else ",".join(f"{r:.6f}" for r in pca.explained_variance_ratio))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# checkpoint: {checkpoint_hash}\n")
-        fh.write(f"# explained_variance_ratio: {ratios}\n")
-        fh.write("level,pc1,pc2\n")
-        for level, pc1, pc2 in rows:
-            fh.write(f"{level},{pc1!r},{pc2!r}\n")
+    lines = [f"# checkpoint: {checkpoint_hash}",
+             f"# explained_variance_ratio: {ratios}",
+             "level,pc1,pc2"]
+    lines += [f"{level},{pc1!r},{pc2!r}" for level, pc1, pc2 in rows]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def export_transfer_features(trained: TrainedModel, manifest: DatasetManifest,
@@ -135,17 +132,8 @@ def export_transfer_features(trained: TrainedModel, manifest: DatasetManifest,
     original dims are bit-identical to a plain feature cache; the extra dims
     are the f32 of caps_vectors() over the clips' model inputs.
     """
-    if trained.scaler is None:
-        raise ConfigError("checkpoint carries no feature scaler")
-    expected_dims = trained.scaler.minimum.shape[0]
     mats = materialize(manifest, root)
-    for entry, m in zip(manifest.entries, mats):
-        if m.shape[1] != expected_dims:
-            raise FormatError(f"{entry.path}: {m.shape[1]} feature dims collide with "
-                              f"the checkpoint scaler's {expected_dims}")
-    X = make_dataset(manifest, mats, manifest.class_names, trained.scaler,
-                     trained.cfg.T_fix).X
-    caps = trained.caps_vectors(X).reshape(len(mats), -1)
+    caps = trained.caps_vectors(trained.inputs(mats)).reshape(len(mats), -1)
     written = []
     for entry, m, vec in zip(manifest.entries, mats, caps):
         extra = np.broadcast_to(vec, (m.shape[0], vec.size))

@@ -24,3 +24,9 @@ def atomic_write(path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Replace path with text, UTF-8 encoded, through atomic_write."""
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ParseError, UnsupportedFormat
 
 TARGET_RATE = 16000
@@ -106,11 +107,8 @@ def load_wav(path, target_rate: int | None = TARGET_RATE) -> AudioClip:
     With target_rate set (the default), the clip is resampled by linear
     interpolation so every clip shares one frame geometry.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        raise ParseError(f"no such file: {path}") from None
+    with open(path, "rb") as fh:
+        raw = fh.read()
 
     fmt = None
     data = None
@@ -155,5 +153,5 @@ def write_wav(path, clip: AudioClip) -> None:
     body += b"fmt " + struct.pack("<IHHIIHH", 16, _FMT_PCM, 1, clip.sample_rate,
                                   clip.sample_rate * 2, 2, 16)
     body += b"data" + struct.pack("<I", len(pcm)) + pcm
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .config import RunConfig, config_from_text, config_to_text
-from .errors import FormatError, MissingFile
+from .errors import FormatError
 
 MAGIC = b"CPSN"
 VERSION = 1
@@ -61,14 +61,10 @@ def load_checkpoint(path) -> tuple[RunConfig, dict[str, np.ndarray]]:
     """The config and the blocks of the checkpoint at path.
 
     Every block is its own aligned, C-contiguous, writeable array that owns
-    its data. Raises MissingFile if path does not exist and FormatError if
+    its data. Raises OSError if path cannot be opened and FormatError if
     the file breaks the format.
     """
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise MissingFile(f"{path}: no such checkpoint file") from None
-    with fh:
+    with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
 
         def claim(n: int, what: str) -> None:

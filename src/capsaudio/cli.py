@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Verbs: features, train, eval, grid, gradcheck, analyze, transfer,
-synth-multilabel. Exit codes: 0 success, 1 runtime fault, 2 usage error,
-3 configuration error.
+synth-multilabel. Exit codes: 0 success, 1 runtime fault (including any
+file the OS cannot open or create), 2 usage error, 3 configuration error.
+Every fault is one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import sys
 from .analysis import (AugmentSpec, DEFAULT_AMPLITUDE_LEVELS, DEFAULT_SPEED_LEVELS,
                        augment, capsule_scatter, export_transfer_features,
                        write_scatter)
+from .atomic import write_text
 from .audio import load_wav
 from .config import apply_overrides, load_config
 from .errors import CapsAudioError, ConfigError
 from .features import FeatureConfig
-from .manifest import materialize, synth_multilabel, save_manifest
-from .train import (GRID_AXES, evaluate, load_splits, load_trained, make_dataset,
+from .manifest import materialize, synth_multilabel, save_manifest, targets_for
+from .train import (GRID_AXES, ArrayDataset, evaluate, load_splits, load_trained,
                     metric_name, prepare_data, run_grid, run_training, write_grid_table)
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -70,17 +72,16 @@ def _load_matching(args):
     as many classes as the checkpoint scores."""
     trained = load_trained(args.checkpoint)
     mans, class_names = load_splits(args.data)
-    if len(class_names) != trained.n_classes:
+    if len(class_names) != trained.model.n_classes:
         raise ConfigError(f"{args.data} has {len(class_names)} classes but the "
-                          f"checkpoint has {trained.n_classes}")
+                          f"checkpoint has {trained.model.n_classes}")
     return trained, mans, class_names
 
 
 def _cmd_features(args) -> int:
     total = 0
     for man in load_splits(args.data)[0].values():
-        materialize(man, args.data, FeatureConfig(), cache_dir=args.out,
-                    jobs=args.jobs)
+        materialize(man, args.data, FeatureConfig(), cache_dir=args.out)
         total += len(man.entries)
     print(f"features: cached {total} clips under {args.out}")
     return 0
@@ -90,7 +91,7 @@ def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     _ensure_run_dir(args.out, args.force)
     trained, metrics = run_training(cfg, args.data, out_dir=args.out,
-                                    cache_dir=args.features, jobs=args.jobs)
+                                    cache_dir=args.features)
     print(f"train: model={cfg.model} best_epoch={metrics.best_epoch} "
           f"{metrics.metric_name}={metrics.best_test_metric} -> {args.out}")
     return 0
@@ -100,7 +101,7 @@ def _cmd_eval(args) -> int:
     trained, mans, class_names = _load_matching(args)
     man = mans[args.split]
     mats = materialize(man, args.data, FeatureConfig(), cache_dir=args.features)
-    ds = make_dataset(man, mats, class_names, trained.scaler, trained.cfg.T_fix)
+    ds = ArrayDataset(trained.inputs(mats), targets_for(man, class_names), class_names)
     metric, _ = evaluate(trained, ds)
     print(f"eval: {args.split} {metric_name(trained.cfg.mode)}={metric}")
     return 0
@@ -109,7 +110,7 @@ def _cmd_eval(args) -> int:
 def _cmd_grid(args) -> int:
     cfg = _load_cfg(args)
     _ensure_run_dir(args.out, args.force)
-    train_ds, test_ds, _ = prepare_data(args.data, cfg.T_fix, args.features, args.jobs)
+    train_ds, test_ds, _ = prepare_data(args.data, cfg.T_fix, args.features)
     rows = run_grid(cfg, args.axis, args.seeds, train_ds, test_ds, jobs=args.jobs)
     table = os.path.join(args.out, f"grid_{args.axis}.csv")
     write_grid_table(table, args.axis, rows, metric_name(cfg.mode))
@@ -127,8 +128,7 @@ def _cmd_gradcheck(args) -> int:
     report = "\n".join(lines)
     print(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
+        write_text(args.out, report + "\n")
     worst = max(results.values())
     print(f"gradcheck: worst {worst:.3e} over {len(results)} ops, "
           f"{args.trials} trials each")
@@ -198,12 +198,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="config override, repeatable")
         p.add_argument("--features", default=None, help="feature cache directory")
         p.add_argument("--force", action="store_true")
-        p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("features", help="materialize the feature cache")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=_cmd_features)
 
     p = sub.add_parser("train", help="train one model")
@@ -222,6 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, choices=tuple(GRID_AXES))
     p.add_argument("--seeds", type=_comma_list(int), default="0",
                    help="comma-separated seed list")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="runs trained at a time in worker processes")
     p.set_defaults(fn=_cmd_grid)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient table")
@@ -271,6 +271,10 @@ def dispatch(argv: list[str]) -> int:
         return 3
     except CapsAudioError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        reason = e if e.filename is None else f"{e.filename}: {e.strerror}"
+        print(f"error: {reason}", file=sys.stderr)
         return 1
 
 

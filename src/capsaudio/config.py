@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from .atomic import write_text
 from .errors import ConfigError
 
 _MODELS = ("caps", "lstm", "att")
@@ -125,8 +126,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(cfg))
+    write_text(path, config_to_text(cfg))
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:

@@ -1,5 +1,10 @@
 """Exception types shared across the package, and the finite-value check
-that raises NumericsFault."""
+that raises NumericsFault.
+
+File-system errors are not wrapped: a path that cannot be opened or
+created raises the standard OSError subclass (FileNotFoundError,
+IsADirectoryError, NotADirectoryError, ...), which the CLI reports as one
+error line naming the path."""
 
 import numpy as np
 
@@ -22,11 +27,6 @@ class InputTooShort(CapsAudioError):
 
 class ShapeError(CapsAudioError):
     """Operand shapes are inconsistent."""
-
-
-class MissingFile(CapsAudioError):
-    """A file the operation needs (manifest, manifest entry, checkpoint)
-    does not exist."""
 
 
 class InsufficientData(CapsAudioError):

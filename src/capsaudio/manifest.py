@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_text
 from .audio import AudioClip, load_wav, write_wav
-from .errors import InsufficientData, MissingFile, ParseError
+from .errors import InsufficientData, ParseError
 from .features import FeatureConfig, mfcc, read_cache, write_cache
 
 
@@ -27,8 +28,12 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry]
-    class_names: list[str]
     split: str  # "train" or "test"
+
+    @property
+    def class_names(self) -> list[str]:
+        """The sorted union of the entries' labels."""
+        return sorted(set().union(*(e.labels for e in self.entries)))
 
     @property
     def is_single_label(self) -> bool:
@@ -37,11 +42,7 @@ class DatasetManifest:
 
 def load_manifest(path, split: str) -> DatasetManifest:
     entries = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        raise MissingFile(f"{path}: no such manifest file") from None
-    with fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -58,15 +59,13 @@ def load_manifest(path, split: str) -> DatasetManifest:
             entries.append(ManifestEntry(rel, labels))
     if not entries:
         raise ParseError(f"{path}: manifest has no entries")
-    class_names = sorted(set().union(*(e.labels for e in entries)))
-    return DatasetManifest(entries, class_names, split)
+    return DatasetManifest(entries, split)
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# split: {manifest.split}\n")
-        for e in manifest.entries:
-            fh.write(f"{e.path},{'|'.join(sorted(e.labels))}\n")
+    lines = [f"# split: {manifest.split}"]
+    lines += [f"{e.path},{'|'.join(sorted(e.labels))}" for e in manifest.entries]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _cache_path(cache_dir: str, rel: str) -> str:
@@ -86,7 +85,8 @@ def materialize(manifest: DatasetManifest, root: str,
     Each distinct path is computed once; entries that list the same path
     share one array. Arrays round-trip through the f32 cache representation
     regardless of whether a cache_dir is given, so cached and direct runs
-    are bit-identical.
+    are bit-identical. jobs > 1 computes paths on a thread pool; no verb
+    uses it, since it is slower than one thread on two cores.
     """
 
     def one(rel: str) -> np.ndarray:
@@ -94,10 +94,8 @@ def materialize(manifest: DatasetManifest, root: str,
             cpath = _cache_path(cache_dir, rel)
             if os.path.exists(cpath):
                 return read_cache(cpath)
-        wav = os.path.join(root, rel)
-        if not os.path.exists(wav):
-            raise MissingFile(f"manifest references missing file {wav}")
-        m = clip_features(load_wav(wav, target_rate=cfg.sample_rate), cfg)
+        clip = load_wav(os.path.join(root, rel), target_rate=cfg.sample_rate)
+        m = clip_features(clip, cfg)
         if cache_dir is not None:
             cpath = _cache_path(cache_dir, rel)
             os.makedirs(os.path.dirname(cpath) or ".", exist_ok=True)
@@ -153,6 +151,4 @@ def synth_multilabel(src: DatasetManifest, root: str, out_dir: str,
         rel = f"{src.split}_pair_{k:04d}.wav"
         write_wav(os.path.join(out_dir, rel), clip)
         entries.append(ManifestEntry(rel, src.entries[i].labels | src.entries[j].labels))
-
-    class_names = sorted(set().union(*(e.labels for e in entries)))
-    return DatasetManifest(entries, class_names, src.split)
+    return DatasetManifest(entries, src.split)

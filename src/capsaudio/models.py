@@ -43,6 +43,7 @@ class CapsModel(Module):
                                  routing_iters)
         self.decoder = (Decoder(rng, n_classes, caps_dim, t_fix * n_dims,
                                 decoder_hidden) if use_decoder else None)
+        self.n_classes = n_classes
         self.t_fix = t_fix
         self.dropout_rate = dropout_rate
         self.recon_weight = recon_weight
@@ -86,6 +87,7 @@ class RecurrentBaseline(Module):
         att = AttentionPool(rng, 2 * hidden, hidden) if pooling == "att" else None
         self.head = Dense(rng, 2 * hidden, n_classes)
         self.att = att  # drawn before head, named after it (checkpoint order)
+        self.n_classes = n_classes
         self.mode = mode
         self.pooling = pooling
 

@@ -108,11 +108,9 @@ def make_digit_dataset(out_dir: str, digits=range(10), clips_per: int = 4,
                 splits[split].append(ManifestEntry(rel, frozenset({f"digit_{digit}"})))
 
     paths = []
-    class_names = sorted({f"digit_{d}" for d in digits})
     for split in ("train", "test"):
-        manifest = DatasetManifest(splits[split], class_names, split)
         path = os.path.join(out_dir, f"{split}.csv")
-        save_manifest(path, manifest)
+        save_manifest(path, DatasetManifest(splits[split], split))
         paths.append(path)
     return paths[0], paths[1]
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_text
 from .autodiff import Graph, Tensor
 from .capsnet import predict
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -70,14 +70,14 @@ def load_splits(data_dir: str):
 
 
 def prepare_data(data_dir: str, t_fix: int, cache_dir: str | None = None,
-                 jobs: int = 1, scaler: ScalerParams | None = None):
+                 scaler: ScalerParams | None = None):
     """Load train.csv/test.csv under data_dir into model-ready arrays.
 
     The min-max scaler is fitted on the training split unless one is given
     (e.g. from a checkpoint). Class order is load_splits'.
     """
     mans, class_names = load_splits(data_dir)
-    mats = {split: materialize(man, data_dir, cache_dir=cache_dir, jobs=jobs)
+    mats = {split: materialize(man, data_dir, cache_dir=cache_dir)
             for split, man in mans.items()}
     if scaler is None:
         scaler = fit_scaler(mats["train"])
@@ -153,8 +153,7 @@ def write_metrics(path, cfg: RunConfig, metrics: Metrics) -> None:
               "# columns: epoch,train_loss,test_metric,seconds"]
     lines += [f"{e},{l!r},{m!r},{s:.3f}" for e, l, m, s in zip(
         metrics.epochs, metrics.train_loss, metrics.test_metric, metrics.seconds)]
-    with atomic_write(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_metrics_rows(path) -> list[tuple[int, float, float, float]]:
@@ -196,11 +195,11 @@ class TrainedModel:
                               f"got model={self.cfg.model}")
         return self._batched(X, "caps")
 
-    @property
-    def n_classes(self) -> int:
-        """Classes the model scores: the width of its output layer."""
-        m = self.model
-        return m.caps.n_classes if self.cfg.model == "caps" else m.head.b.shape[0]
+    def inputs(self, mats) -> np.ndarray:
+        """Model inputs from feature arrays, scaled by the model's own scaler."""
+        if self.scaler is None:
+            raise ConfigError("checkpoint carries no feature scaler")
+        return model_inputs(mats, self.scaler, self.cfg.T_fix)
 
     def save(self, path) -> None:
         save_checkpoint(path, self.cfg, model_blocks(self.model, self.scaler))
@@ -313,10 +312,9 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
 
 
 def run_training(cfg: RunConfig, data_dir: str, out_dir: str | None = None,
-                 cache_dir: str | None = None,
-                 jobs: int = 1) -> tuple[TrainedModel, Metrics]:
+                 cache_dir: str | None = None) -> tuple[TrainedModel, Metrics]:
     """Feature pipeline + train; optionally write the run directory."""
-    train_ds, test_ds, scaler = prepare_data(data_dir, cfg.T_fix, cache_dir, jobs)
+    train_ds, test_ds, scaler = prepare_data(data_dir, cfg.T_fix, cache_dir)
     trained, metrics = train(cfg, train_ds, test_ds)
     trained.scaler = scaler
     if out_dir is not None:
@@ -324,8 +322,8 @@ def run_training(cfg: RunConfig, data_dir: str, out_dir: str | None = None,
         save_config(os.path.join(out_dir, "config.cfg"), cfg)
         write_metrics(os.path.join(out_dir, "metrics.csv"), cfg, metrics)
         if metrics.confusion is not None:
-            np.savetxt(os.path.join(out_dir, "confusion.csv"), metrics.confusion,
-                       fmt="%d", delimiter=",")
+            with atomic_write(os.path.join(out_dir, "confusion.csv")) as fh:
+                np.savetxt(fh, metrics.confusion, fmt="%d", delimiter=",")
         trained.save(os.path.join(out_dir, "checkpoint.cpsn"))
     return trained, metrics
 
@@ -373,8 +371,7 @@ def run_grid(base: RunConfig, axis: str, seeds: list[int], train_set: ArrayDatas
 
 
 def write_grid_table(path, axis: str, rows: list[dict], metric_name: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# capsaudio grid axis={axis} metric={metric_name}\n")
-        fh.write("axis,value,seed,best_test_metric\n")
-        for r in rows:
-            fh.write(f"{r['axis']},{r['value']},{r['seed']},{r['metric']!r}\n")
+    lines = [f"# capsaudio grid axis={axis} metric={metric_name}",
+             "axis,value,seed,best_test_metric"]
+    lines += [f"{r['axis']},{r['value']},{r['seed']},{r['metric']!r}" for r in rows]
+    write_text(path, "\n".join(lines) + "\n")

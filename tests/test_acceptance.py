@@ -272,7 +272,7 @@ def test_c7_pca_amplitude_separation(report, tmp_path_factory):
             write_wav(os.path.join(aug_dir, rel), augment(clip, spec, lvl))
             entries.append(ManifestEntry(rel, e.labels))
     save_manifest(os.path.join(aug_dir, "train.csv"),
-                  DatasetManifest(entries, man.class_names, "train"))
+                  DatasetManifest(entries, "train"))
     test_man = load_manifest(os.path.join(src, "test.csv"), "test")
     for e in test_man.entries:
         write_wav(os.path.join(aug_dir, e.path), load_wav(os.path.join(src, e.path)))

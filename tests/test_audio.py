@@ -54,7 +54,7 @@ def test_not_riff(tmp_path):
 
 
 def test_missing_file(tmp_path):
-    with pytest.raises(ParseError):
+    with pytest.raises(FileNotFoundError):
         load_wav(tmp_path / "nope.wav")
 
 

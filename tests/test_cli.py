@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 from capsaudio import manifest
+from capsaudio.checkpoint import load_checkpoint, save_checkpoint
 from capsaudio.cli import dispatch
 from capsaudio.config import load_config
 from capsaudio.features import mfcc, read_cache
@@ -43,18 +44,21 @@ def run_dir(tiny_data, tiny_cfg_file, tmp_path_factory):
     return out
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert dispatch([]) == 2
     assert dispatch(["unknown-verb"]) == 2
     assert dispatch(["train"]) == 2  # missing required flags
     assert dispatch(["gradcheck", "--trials", "0"]) == 2  # would check nothing
+    run = ["--config", "c", "--data", "d", "--out", "o"]
     for n in ("0", "-1"):
-        run = ["--config", "c", "--data", "d", "--out", "o", "--jobs", n]
-        assert dispatch(["features", "--data", "d", "--out", "o", "--jobs", n]) == 2
-        assert dispatch(["train"] + run) == 2
-        assert dispatch(["grid"] + run + ["--axis", "routing"]) == 2
+        assert dispatch(["grid"] + run + ["--axis", "routing", "--jobs", n]) == 2
         assert dispatch(["synth-multilabel", "--data", "d", "--out", "o",
                          "--pairs", n]) == 2
+    capsys.readouterr()
+    # --jobs is grid's alone: runs trained at a time
+    for argv in (["features", "--data", "d", "--out", "o"], ["train"] + run):
+        assert dispatch(argv + ["--jobs", "2"]) == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_bad_seed_list_is_usage_error(tiny_data, tiny_cfg_file, tmp_path, capsys):
@@ -120,7 +124,7 @@ def _without_digit_0(src, dst, splits):
         path = os.path.join(dst, f"{split}.csv")
         man = load_manifest(path, split)
         kept = [e for e in man.entries if "digit_0" not in e.labels]
-        save_manifest(path, DatasetManifest(kept, ["digit_1"], split))
+        save_manifest(path, DatasetManifest(kept, split))
     return str(dst)
 
 
@@ -241,21 +245,65 @@ def test_analyze_digest_is_checkpoint_sha256(run_dir, tiny_data, tmp_path):
         assert header == f"# checkpoint: {hashlib.sha256(fh.read()).hexdigest()}\n"
 
 
-def test_missing_checkpoint_is_one_error_line(tiny_data, capsys):
-    code = dispatch(["eval", "--checkpoint", "/nonexistent/m.cpsn", "--data", tiny_data])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == "error: /nonexistent/m.cpsn: no such checkpoint file\n"
+# Each case: argv with {tmp}, {data} and {cfg} filled in, and the
+# path the error line must name. Under {tmp}, "file" is a regular file and
+# "dir" an empty directory; "absent" does not exist.
+FILE_ERRORS = {
+    "missing-checkpoint": (["eval", "--checkpoint", "{tmp}/absent.cpsn", "--data", "{data}"],
+                           "{tmp}/absent.cpsn"),
+    "dir-as-checkpoint": (["eval", "--checkpoint", "{tmp}/dir", "--data", "{data}"],
+                          "{tmp}/dir"),
+    "missing-data-dir": (["features", "--data", "{tmp}/absent", "--out", "{tmp}/x"],
+                         "{tmp}/absent"),
+    "file-as-data": (["features", "--data", "{tmp}/file", "--out", "{tmp}/x"], "{tmp}/file"),
+    "missing-config": (["train", "--config", "{tmp}/absent.cfg", "--data", "{data}",
+                        "--out", "{tmp}/r"], "{tmp}/absent.cfg"),
+    "dir-as-config": (["train", "--config", "{tmp}/dir", "--data", "{data}",
+                       "--out", "{tmp}/r"], "{tmp}/dir"),
+    "train-out-is-file": (["train", "--config", "{cfg}", "--data", "{data}",
+                           "--out", "{tmp}/file"], "{tmp}/file"),
+    "grid-out-is-file": (["grid", "--config", "{cfg}", "--data", "{data}",
+                          "--out", "{tmp}/file", "--axis", "routing"], "{tmp}/file"),
+    "synth-multilabel-out-is-file": (["synth-multilabel", "--data", "{data}",
+                                      "--out", "{tmp}/file"], "{tmp}/file"),
+    "features-out-is-file": (["features", "--data", "{data}", "--out", "{tmp}/file"],
+                             "{tmp}/file"),
+    "gradcheck-out-in-missing-dir": (["gradcheck", "--trials", "1",
+                                      "--out", "{tmp}/absent/grad.txt"],
+                                     "{tmp}/absent/grad.txt"),
+}
 
 
-def test_missing_data_dir_is_one_error_line(tmp_path, capsys):
-    missing = str(tmp_path / "absent")
-    code = dispatch(["features", "--data", missing, "--out", str(tmp_path / "x")])
-    assert code == 1
+@pytest.mark.parametrize("case", FILE_ERRORS)
+def test_file_error_is_one_error_line(case, tiny_data, tiny_cfg_file, tmp_path, capsys):
+    (tmp_path / "file").write_text("not a directory\n")
+    (tmp_path / "dir").mkdir()
+    before = sorted(os.walk(tmp_path))
+    argv, path = FILE_ERRORS[case]
+    fill = dict(tmp=tmp_path, data=tiny_data, cfg=tiny_cfg_file)
+    code = dispatch([a.format(**fill) for a in argv])
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "no such manifest file" in err
-    assert err.count("\n") == 1
-    assert not os.path.exists(tmp_path / "x")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert path.format(**fill) in err
+    assert sorted(os.walk(tmp_path)) == before  # nothing created
+
+
+@pytest.mark.parametrize("verb", [
+    ["eval"],
+    ["analyze", "--kind", "amplitude", "--target-class", "digit_1", "--out", "{tmp}/s"],
+    ["transfer", "--out", "{tmp}/t"],
+], ids=lambda verb: verb[0])
+def test_checkpoint_without_scaler_is_config_error(verb, run_dir, tiny_data,
+                                                   tmp_path, capsys):
+    cfg, blocks = load_checkpoint(os.path.join(run_dir, "checkpoint.cpsn"))
+    del blocks["scaler.min"], blocks["scaler.max"]
+    ckpt = str(tmp_path / "no_scaler.cpsn")
+    save_checkpoint(ckpt, cfg, blocks)
+    argv = [verb[0], "--checkpoint", ckpt, "--data", tiny_data]
+    code = dispatch(argv + [a.format(tmp=tmp_path) for a in verb[1:]])
+    assert code == 3
+    assert capsys.readouterr().err == "error: checkpoint carries no feature scaler\n"
 
 
 def test_analyze_unknown_class(run_dir, tiny_data, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from capsaudio import manifest
 from capsaudio.audio import AudioClip, load_wav, write_wav
-from capsaudio.errors import InsufficientData, MissingFile, ParseError
+from capsaudio.errors import InsufficientData, ParseError
 from capsaudio.features import FeatureConfig
 from capsaudio.manifest import (DatasetManifest, load_manifest, materialize,
                                 save_manifest, synth_multilabel, targets_for)
@@ -73,7 +73,7 @@ def test_targets_for(tmp_path):
 
 def test_materialize_missing_file(tmp_path):
     man = load_manifest(write_manifest(tmp_path, "ghost.wav,x\n"), "train")
-    with pytest.raises(MissingFile):
+    with pytest.raises(FileNotFoundError):
         materialize(man, str(tmp_path))
 
 
@@ -208,8 +208,7 @@ def test_synth_multilabel_insufficient(tmp_path):
 
 def test_synth_multilabel_requires_single_label(tmp_path):
     man = DatasetManifest(
-        entries=[e for e in make_wav_dataset(tmp_path).entries],
-        class_names=["class_0", "class_1"], split="train")
+        entries=[e for e in make_wav_dataset(tmp_path).entries], split="train")
     man.entries[0] = type(man.entries[0])(man.entries[0].path,
                                           frozenset({"a", "b"}))
     with pytest.raises(ParseError):
