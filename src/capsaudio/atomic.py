@@ -14,10 +14,16 @@ def atomic_write(path):
     The data goes to `<path>.<pid>.<thread>.tmp` in the same directory,
     which is renamed onto path only after the block and the close succeed.
     On any failure the temp file is removed and path keeps its old contents.
+    An error opening the temp file names path, not the temp file.
     """
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        fh = open(tmp, "wb")
+    except OSError as e:
+        e.filename = os.fspath(path)  # the error names the caller's path
+        raise
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

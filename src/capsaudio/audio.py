@@ -2,8 +2,8 @@
 
 Only RIFF/WAVE containers with uncompressed payloads are handled: 8/16/24-bit
 integer PCM and 32-bit IEEE float. Everything is reduced to mono float64 in
-[-1, 1] and (by default) resampled to a uniform 16 kHz so downstream frame
-geometry is identical for every clip.
+[-1, 1] and resampled to a uniform 16 kHz so downstream frame geometry is
+identical for every clip.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ def _decode_samples(data: bytes, fmt: int, bits: int, n_channels: int) -> np.nda
     return x.reshape(-1, n_channels)
 
 
-def load_wav(path, target_rate: int | None = TARGET_RATE) -> AudioClip:
-    """Read a PCM WAV file as a mono AudioClip.
+def load_wav(path) -> AudioClip:
+    """Read a PCM WAV file as a mono AudioClip at TARGET_RATE.
 
     Channels are averaged to mono and integer samples normalized to [-1, 1].
-    With target_rate set (the default), the clip is resampled by linear
-    interpolation so every clip shares one frame geometry.
+    A clip at another rate is resampled by linear interpolation, so every
+    clip shares one frame geometry.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -138,11 +138,9 @@ def load_wav(path, target_rate: int | None = TARGET_RATE) -> AudioClip:
         raise ParseError("empty data chunk")
     mono = frames.mean(axis=1)
 
-    if target_rate is not None and rate != target_rate:
-        n_out = max(1, int(round(mono.size * target_rate / rate)))
-        mono = resample_linear(mono, n_out)
-        rate = target_rate
-    return AudioClip(mono, rate)
+    if rate != TARGET_RATE:
+        mono = resample_linear(mono, max(1, int(round(mono.size * TARGET_RATE / rate))))
+    return AudioClip(mono, TARGET_RATE)
 
 
 def write_wav(path, clip: AudioClip) -> None:

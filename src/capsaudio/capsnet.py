@@ -43,6 +43,26 @@ def squash(s: Tensor) -> Tensor:
     return ad.apply_op("squash", (s,), v, lambda g: (_squash_backward(g, s.data, n),))
 
 
+def route(uhat: np.ndarray, iters: int) -> list[tuple[np.ndarray, ...]]:
+    """Routing-by-agreement (Procedure 1 of Sabour, Frosst & Hinton 2017,
+    arXiv 1710.09829) over predictions uhat [B, C, P, D]: each iteration's
+    couplings c [B, C, P] (softmax over C), s [B, C, D], |s| and v = squash(s)."""
+    B, C, P, _ = uhat.shape
+    b = np.zeros((B, C, P))
+    saved = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        # non-finite values trip NumericsFault on v in apply_op
+        for it in range(iters):
+            e = np.exp(b - b.max(axis=1, keepdims=True))
+            c = e / e.sum(axis=1, keepdims=True)                   # softmax over C
+            s = (c[:, :, None, :] @ uhat)[:, :, 0]                  # [B, C, D]
+            n, v = _squash_forward(s)
+            if it < iters - 1:
+                b = b + (uhat @ v[..., None])[..., 0]               # agreement
+            saved.append((c, s, n, v))
+    return saved
+
+
 class CapsuleLayer(Module):
     """Transforms primary capsules and routes them to class capsules."""
 
@@ -60,40 +80,27 @@ class CapsuleLayer(Module):
         self.caps_dim = caps_dim
         self.routing_iters = routing_iters
 
-    def __call__(self, u: Tensor, collect_couplings: list | None = None) -> Tensor:
-        """Route primaries [B, P, in_dim] to class capsules [B, C, caps_dim].
+    def predictions(self, u: np.ndarray) -> np.ndarray:
+        """u_hat[b, j, i] = W[i, j] @ u[b, i] for primaries u [B, P, in_dim],
+        batched over i and laid out [B, C, P, D] so that each routing sum is
+        a batched matmul."""
+        P, C, D, I = self.W.data.shape
+        ut = u.transpose(1, 0, 2)                                   # [P, B, I]
+        uhat = ut @ self.W.data.reshape(P, C * D, I).transpose(0, 2, 1)
+        return np.ascontiguousarray(uhat.reshape(P, -1, C, D).transpose(1, 2, 0, 3))
 
-        Procedure 1 of Sabour, Frosst & Hinton 2017 (arXiv 1710.09829).
-        When collect_couplings is a list, the [B, P, C] coupling-coefficient
-        array of every iteration is appended to it (values only).
-        """
+    def __call__(self, u: Tensor) -> Tensor:
+        """Route primaries [B, P, in_dim] to class capsules [B, C, caps_dim]."""
         if u.data.ndim != 3 or u.data.shape[1:] != (self.n_primary, self.in_dim):
             raise ShapeError(f"expected [batch, {self.n_primary}, {self.in_dim}], "
                              f"got {u.shape}")
         B, P, I = u.data.shape
         C, D, iters = self.n_classes, self.caps_dim, self.routing_iters
-
-        # Predictions u_hat[b, j, i] = W[i, j] @ u[b, i], batched over i and
-        # laid out [B, C, P, D] so that each routing sum is a batched matmul.
         ut = u.data.transpose(1, 0, 2)                              # [P, B, I]
         Wm = self.W.data.reshape(P, C * D, I)
-        uhat = np.ascontiguousarray(
-            (ut @ Wm.transpose(0, 2, 1)).reshape(P, B, C, D).transpose(1, 2, 0, 3))
-
-        b = np.zeros((B, C, P))  # routing logits, reset per pass
-        saved = []  # (c, s, |s|, v) of every iteration
-        with np.errstate(invalid="ignore", over="ignore"):
-            # non-finite values trip NumericsFault on v in apply_op
-            for it in range(iters):
-                e = np.exp(b - b.max(axis=1, keepdims=True))
-                c = e / e.sum(axis=1, keepdims=True)               # softmax over C
-                s = (c[:, :, None, :] @ uhat)[:, :, 0]              # [B, C, D]
-                n, v = _squash_forward(s)
-                if it < iters - 1:
-                    b = b + (uhat @ v[..., None])[..., 0]           # agreement
-                saved.append((c, s, n, v))
-        if collect_couplings is not None:
-            collect_couplings.extend(c.transpose(0, 2, 1).copy() for c, *_ in saved)
+        uhat = self.predictions(u.data)
+        saved = route(uhat, iters)  # (c, s, |s|, v) of every iteration
+        v = saved[-1][3]
 
         def backward(g):
             # d u_hat = sum_t c_t (x) gs_t + sum_{t < last} gb_{t+1} (x) v_t,

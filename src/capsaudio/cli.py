@@ -9,6 +9,7 @@ Every fault is one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -16,7 +17,7 @@ import sys
 from .analysis import (AugmentSpec, DEFAULT_AMPLITUDE_LEVELS, DEFAULT_SPEED_LEVELS,
                        augment, capsule_scatter, export_transfer_features,
                        write_scatter)
-from .atomic import write_text
+from .atomic import atomic_write
 from .audio import load_wav
 from .config import apply_overrides, load_config
 from .errors import CapsAudioError, ConfigError
@@ -101,7 +102,7 @@ def _cmd_eval(args) -> int:
     trained, mans, class_names = _load_matching(args)
     man = mans[args.split]
     mats = materialize(man, args.data, FeatureConfig(), cache_dir=args.features)
-    ds = ArrayDataset(trained.inputs(mats), targets_for(man, class_names), class_names)
+    ds = ArrayDataset(trained.inputs(mats), targets_for(man, class_names))
     metric, _ = evaluate(trained, ds)
     print(f"eval: {args.split} {metric_name(trained.cfg.mode)}={metric}")
     return 0
@@ -121,14 +122,16 @@ def _cmd_grid(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .gradcheck import full_model_check, run_suite
 
-    results = run_suite(trials=args.trials)
-    results["full_model"] = full_model_check(trials=min(3, args.trials))
-    lines = [f"{name:12s} {err:.3e} {'ok' if err <= GRADCHECK_TOLERANCE else 'FAIL'}"
-             for name, err in results.items()]
-    report = "\n".join(lines)
-    print(report)
-    if args.out:
-        write_text(args.out, report + "\n")
+    # --out is opened first, so a path that cannot be written fails before the suite.
+    with (atomic_write(args.out) if args.out else contextlib.nullcontext()) as fh:
+        results = run_suite(trials=args.trials)
+        results["full_model"] = full_model_check(trials=min(3, args.trials))
+        lines = [f"{name:12s} {err:.3e} {'ok' if err <= GRADCHECK_TOLERANCE else 'FAIL'}"
+                 for name, err in results.items()]
+        report = "\n".join(lines)
+        print(report)
+        if fh is not None:
+            fh.write((report + "\n").encode("utf-8"))
     worst = max(results.values())
     print(f"gradcheck: worst {worst:.3e} over {len(results)} ops, "
           f"{args.trials} trials each")

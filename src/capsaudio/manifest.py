@@ -8,14 +8,13 @@ name is supplied by the caller (conventionally train.csv / test.csv).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import write_text
 from .audio import AudioClip, load_wav, write_wav
-from .errors import InsufficientData, ParseError
+from .errors import ConfigError, InsufficientData, ParseError
 from .features import FeatureConfig, mfcc, read_cache, write_cache
 
 
@@ -85,30 +84,26 @@ def materialize(manifest: DatasetManifest, root: str,
     Each distinct path is computed once; entries that list the same path
     share one array. Arrays round-trip through the f32 cache representation
     regardless of whether a cache_dir is given, so cached and direct runs
-    are bit-identical. jobs > 1 computes paths on a thread pool; no verb
-    uses it, since it is slower than one thread on two cores.
+    are bit-identical. Clips are loaded at audio.TARGET_RATE, which mfcc
+    checks against cfg.sample_rate. jobs must be 1: perfbench passes it
+    positionally, and the next benchmark change deletes it (ROADMAP item 1).
     """
+    if jobs != 1:
+        raise ConfigError(f"materialize runs one path at a time; got jobs={jobs}")
 
     def one(rel: str) -> np.ndarray:
         if cache_dir is not None:
             cpath = _cache_path(cache_dir, rel)
             if os.path.exists(cpath):
                 return read_cache(cpath)
-        clip = load_wav(os.path.join(root, rel), target_rate=cfg.sample_rate)
-        m = clip_features(clip, cfg)
+        m = clip_features(load_wav(os.path.join(root, rel)), cfg)
         if cache_dir is not None:
             cpath = _cache_path(cache_dir, rel)
             os.makedirs(os.path.dirname(cpath) or ".", exist_ok=True)
             write_cache(cpath, m)  # m is already f32-rounded: what a read would return
         return m
 
-    paths = list(dict.fromkeys(e.path for e in manifest.entries))
-    if jobs <= 1:
-        mats = [one(rel) for rel in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            mats = list(pool.map(one, paths))
-    by_path = dict(zip(paths, mats))
+    by_path = {rel: one(rel) for rel in dict.fromkeys(e.path for e in manifest.entries)}
     return [by_path[e.path] for e in manifest.entries]
 
 

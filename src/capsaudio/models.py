@@ -89,7 +89,6 @@ class RecurrentBaseline(Module):
         self.att = att  # drawn before head, named after it (checkpoint order)
         self.n_classes = n_classes
         self.mode = mode
-        self.pooling = pooling
 
     def forward(self, x, training: bool, rng,
                 targets: np.ndarray | None = None) -> ForwardOutput:

@@ -3,7 +3,6 @@ experiment grid."""
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -11,6 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import blas
 from .atomic import atomic_write, write_text
 from .autodiff import Graph, Tensor
 from .capsnet import predict
@@ -34,7 +34,6 @@ class ArrayDataset:
 
     X: np.ndarray            # [N, T_fix, n_dims]
     Y: np.ndarray            # [N, n_classes]
-    class_names: list[str]
 
     def __len__(self):
         return self.X.shape[0]
@@ -57,8 +56,7 @@ def model_inputs(mats, scaler: ScalerParams, t_fix: int) -> np.ndarray:
 
 def make_dataset(manifest, mats, class_names: list[str], scaler: ScalerParams,
                  t_fix: int) -> ArrayDataset:
-    return ArrayDataset(model_inputs(mats, scaler, t_fix),
-                        targets_for(manifest, class_names), class_names)
+    return ArrayDataset(model_inputs(mats, scaler, t_fix), targets_for(manifest, class_names))
 
 
 def load_splits(data_dir: str):
@@ -69,18 +67,16 @@ def load_splits(data_dir: str):
     return mans, sorted(set().union(*(m.class_names for m in mans.values())))
 
 
-def prepare_data(data_dir: str, t_fix: int, cache_dir: str | None = None,
-                 scaler: ScalerParams | None = None):
+def prepare_data(data_dir: str, t_fix: int, cache_dir: str | None = None):
     """Load train.csv/test.csv under data_dir into model-ready arrays.
 
-    The min-max scaler is fitted on the training split unless one is given
-    (e.g. from a checkpoint). Class order is load_splits'.
+    The min-max scaler is fitted on the training split. Class order is
+    load_splits'.
     """
     mans, class_names = load_splits(data_dir)
     mats = {split: materialize(man, data_dir, cache_dir=cache_dir)
             for split, man in mans.items()}
-    if scaler is None:
-        scaler = fit_scaler(mats["train"])
+    scaler = fit_scaler(mats["train"])
     train_ds, test_ds = (make_dataset(mans[split], mats[split], class_names, scaler, t_fix)
                          for split in ("train", "test"))
     return train_ds, test_ds, scaler
@@ -174,7 +170,6 @@ def read_metrics_rows(path) -> list[tuple[int, float, float, float]]:
 class TrainedModel:
     model: object
     cfg: RunConfig
-    class_names: list[str]
     scaler: ScalerParams | None = None
 
     def _batched(self, X: np.ndarray, output: str) -> np.ndarray:
@@ -242,7 +237,7 @@ def load_trained(path) -> TrainedModel:
     scaler = None
     if "scaler.min" in blocks:
         scaler = ScalerParams(blocks["scaler.min"], blocks["scaler.max"])
-    return TrainedModel(model, cfg, class_names=[], scaler=scaler)
+    return TrainedModel(model, cfg, scaler)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +267,7 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3))
     model = build_model(cfg, n_dims, n_classes, init_rng)
     opt = Adam(cfg.lr)
-    trained = TrainedModel(model, cfg, train_set.class_names)
+    trained = TrainedModel(model, cfg)
     metrics = Metrics(metric_name(cfg.mode))
 
     # Adam.step and BatchNorm replace arrays, never write into them.
@@ -348,24 +343,39 @@ def grid_configs(base: RunConfig, axis: str,
             for value in values for seed in seeds]
 
 
-def _best_test_metric(train_set: ArrayDataset, test_set: ArrayDataset,
-                      cfg: RunConfig) -> float | None:
-    return train(cfg, train_set, test_set)[1].best_test_metric
+# The datasets of a grid pool worker; set only in worker processes.
+_worker_data: tuple[ArrayDataset, ArrayDataset] | None = None
+
+
+def _init_grid_worker(train_set: ArrayDataset, test_set: ArrayDataset) -> None:
+    """Pool initializer: one BLAS thread, and the datasets every run uses."""
+    global _worker_data
+    blas.set_threads(1)
+    _worker_data = (train_set, test_set)
+
+
+def _grid_worker_run(cfg: RunConfig) -> float | None:
+    return train(cfg, *_worker_data)[1].best_test_metric
 
 
 def run_grid(base: RunConfig, axis: str, seeds: list[int], train_set: ArrayDataset,
              test_set: ArrayDataset, jobs: int = 1) -> list[dict]:
     """Train every config of the sweep on the same datasets and return one
-    row per run with its best test metric. jobs > 1 uses a process pool,
-    which sends the datasets with each run."""
+    row per run with its best test metric.
+
+    Every run trains at one BLAS thread: two runs on two cores beat one run
+    on two threads. jobs > 1 trains that many runs at a time in worker
+    processes, each handed the datasets once.
+    """
     combos = grid_configs(base, axis, seeds)
     cfgs = [cfg for _, _, cfg in combos]
-    fit = functools.partial(_best_test_metric, train_set, test_set)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fit, cfgs))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_grid_worker,
+                                 initargs=(train_set, test_set)) as pool:
+            results = list(pool.map(_grid_worker_run, cfgs))
     else:
-        results = [fit(cfg) for cfg in cfgs]
+        with blas.one_thread():
+            results = [train(cfg, train_set, test_set)[1].best_test_metric for cfg in cfgs]
     return [{"axis": axis, "value": value, "seed": seed, "metric": metric}
             for (value, seed, _), metric in zip(combos, results)]
 

@@ -15,15 +15,16 @@ from capsaudio.analysis import (AugmentSpec, DEFAULT_AMPLITUDE_LEVELS, augment,
 from capsaudio.audio import AudioClip, load_wav, write_wav
 from capsaudio.autodiff import Tensor
 from capsaudio.capsnet import CapsuleLayer, margin_loss, squash
+from capsaudio.cli import dispatch
 from capsaudio.config import RunConfig
 from capsaudio.features import mfcc
 from capsaudio.gradcheck import full_model_check, run_suite
 from capsaudio.manifest import (DatasetManifest, ManifestEntry, load_manifest,
                                 save_manifest, synth_multilabel)
 from capsaudio.synthdata import make_digit_dataset
-from capsaudio.train import load_trained, prepare_data, run_training
+from capsaudio.train import read_metrics_rows, run_training
 from reference_mfcc import naive_mfcc
-from test_capsnet import hand_routing, pinned_agreement_case
+from test_capsnet import couplings, hand_routing, pinned_agreement_case
 
 GRAD_TOL = 1e-4
 
@@ -107,10 +108,7 @@ def test_c2_routing_invariants(report):
     worst_sum = 0.0
     for _ in range(20):
         layer = CapsuleLayer(rng, 6, 3, 4, 2, routing_iters=5)
-        collected = []
-        layer(Tensor(rng.normal(size=(2, 6, 3)) * 2.0),
-              collect_couplings=collected)
-        for c in collected:
+        for c in couplings(layer, rng.normal(size=(2, 6, 3)) * 2.0):
             worst_sum = max(worst_sum, np.abs(c.sum(axis=2) - 1.0).max())
 
     # n_primary = 1: routing is exactly squash(W u) for any iteration count
@@ -125,8 +123,8 @@ def test_c2_routing_invariants(report):
     u, W, uhat = pinned_agreement_case()
     layer = CapsuleLayer(rng, 2, 2, 2, 2, routing_iters=3)
     layer.W = Tensor(W, requires_grad=True)
-    collected = []
-    out = layer(Tensor(u), collect_couplings=collected).data
+    out = layer(Tensor(u)).data
+    collected = couplings(layer, u)
     v_hand, cs_hand, _ = hand_routing(uhat, 3)
     oracle_err = np.abs(out[0] - v_hand).max()
     for got, want in zip(collected, cs_hand):
@@ -312,33 +310,28 @@ def test_c7_pca_amplitude_separation(report, tmp_path_factory):
 # --- criterion 8: determinism and round-trip -----------------------------------------
 
 @pytest.mark.slow
-def test_c8_determinism_round_trip(report, tmp_path_factory, digits_full, feature_cache):
+def test_c8_determinism_round_trip(report, capsys, tmp_path_factory, digits_full,
+                                   feature_cache):
     out_a = str(tmp_path_factory.mktemp("det_a"))
     out_b = str(tmp_path_factory.mktemp("det_b"))
     cfg = replace(trend_base(), epochs=4)
     run_training(cfg, digits_full, out_dir=out_a, cache_dir=feature_cache)
     run_training(cfg, digits_full, out_dir=out_b, cache_dir=feature_cache)
 
-    ck_a = open(os.path.join(out_a, "checkpoint.cpsn"), "rb").read()
-    ck_b = open(os.path.join(out_b, "checkpoint.cpsn"), "rb").read()
-    bit_identical = ck_a == ck_b
+    with open(os.path.join(out_a, "checkpoint.cpsn"), "rb") as fa, \
+            open(os.path.join(out_b, "checkpoint.cpsn"), "rb") as fb:
+        bit_identical = fa.read() == fb.read()
 
-    def rows_without_seconds(path):
-        rows = [l for l in open(path) if not l.startswith("#")]
-        return [",".join(r.strip().split(",")[:3]) for r in rows]
+    rows_a, rows_b = (read_metrics_rows(os.path.join(out, "metrics.csv"))
+                      for out in (out_a, out_b))
+    metrics_equal = [r[:3] for r in rows_a] == [r[:3] for r in rows_b]  # all but seconds
 
-    metrics_equal = (rows_without_seconds(os.path.join(out_a, "metrics.csv"))
-                     == rows_without_seconds(os.path.join(out_b, "metrics.csv")))
-
-    loaded = load_trained(os.path.join(out_a, "checkpoint.cpsn"))
-    _, test_ds, _ = prepare_data(digits_full, cfg.T_fix,
-                                 cache_dir=feature_cache, scaler=loaded.scaler)
-    from capsaudio.train import evaluate
-
-    reloaded_acc, _ = evaluate(loaded, test_ds)
-    recorded = [float(l.split(",")[2]) for l in
-                open(os.path.join(out_a, "metrics.csv")) if not l.startswith("#")]
-    accuracy_preserved = reloaded_acc == max(recorded)
+    # the reloaded checkpoint scores the test split through the eval verb
+    capsys.readouterr()
+    assert dispatch(["eval", "--checkpoint", os.path.join(out_a, "checkpoint.cpsn"),
+                     "--data", digits_full, "--features", feature_cache]) == 0
+    reloaded_acc = float(capsys.readouterr().out.strip().rsplit("=", 1)[1])
+    accuracy_preserved = reloaded_acc == max(r[2] for r in rows_a)
 
     ok = bit_identical and metrics_equal and accuracy_preserved
     report("C8 determinism & round-trip", ok,

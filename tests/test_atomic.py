@@ -70,3 +70,12 @@ def test_write_failing_midway_keeps_old_file(name, tmp_path, monkeypatch):
         WRITERS[name](str(path))
     assert path.read_bytes() == b"old\n"
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+def test_failed_open_names_the_target_path(tmp_path):
+    path = str(tmp_path / "absent" / "f.txt")
+    with pytest.raises(FileNotFoundError) as info:
+        with atomic.atomic_write(path):
+            pass
+    assert info.value.filename == path
+    assert not (tmp_path / "absent").exists()

@@ -24,7 +24,7 @@ def write(tmp_path, raw, name="x.wav"):
 
 def test_16bit_normalization(tmp_path):
     data = struct.pack("<3h", 0, 16384, -16384)
-    clip = load_wav(write(tmp_path, wav_bytes(data)), target_rate=None)
+    clip = load_wav(write(tmp_path, wav_bytes(data)))
     assert clip.sample_rate == 16000
     np.testing.assert_allclose(clip.samples, [0.0, 0.5, -0.5])
 
@@ -32,7 +32,7 @@ def test_16bit_normalization(tmp_path):
 def test_stereo_channel_mean(tmp_path):
     # one frame, channels 1.0 and 0.0
     data = struct.pack("<2h", 32767, 0)
-    clip = load_wav(write(tmp_path, wav_bytes(data, channels=2)), target_rate=None)
+    clip = load_wav(write(tmp_path, wav_bytes(data, channels=2)))
     assert clip.samples.shape == (1,)
     assert clip.samples[0] == pytest.approx(0.5, abs=1e-4)
 
@@ -79,23 +79,22 @@ def test_unsupported_bit_depth(tmp_path):
 
 def test_float32_payload(tmp_path):
     data = struct.pack("<3f", 0.25, -0.5, 1.0)
-    clip = load_wav(write(tmp_path, wav_bytes(data, fmt=3, bits=32)), target_rate=None)
+    clip = load_wav(write(tmp_path, wav_bytes(data, fmt=3, bits=32)))
     np.testing.assert_allclose(clip.samples, [0.25, -0.5, 1.0])
 
 
 def test_8bit_and_24bit(tmp_path):
-    clip8 = load_wav(write(tmp_path, wav_bytes(bytes([128, 255, 0]), bits=8)),
-                     target_rate=None)
+    clip8 = load_wav(write(tmp_path, wav_bytes(bytes([128, 255, 0]), bits=8)))
     np.testing.assert_allclose(clip8.samples, [0.0, 127 / 128, -1.0])
     pos, neg = 1 << 22, (1 << 24) - (1 << 22)  # +2^22 and -2^22 two's complement
     data24 = pos.to_bytes(3, "little") + neg.to_bytes(3, "little")
-    clip24 = load_wav(write(tmp_path, wav_bytes(data24, bits=24)), target_rate=None)
+    clip24 = load_wav(write(tmp_path, wav_bytes(data24, bits=24)))
     np.testing.assert_allclose(clip24.samples, [0.5, -0.5])
 
 
 def test_resample_at_load(tmp_path):
     data = struct.pack("<8000h", *([1000] * 8000))
-    clip = load_wav(write(tmp_path, wav_bytes(data, rate=8000)), target_rate=16000)
+    clip = load_wav(write(tmp_path, wav_bytes(data, rate=8000)))
     assert clip.sample_rate == 16000
     assert clip.samples.size == 16000
 
@@ -103,7 +102,7 @@ def test_resample_at_load(tmp_path):
 def test_write_read_round_trip(tmp_path):
     x = np.linspace(-0.9, 0.9, 1000)
     write_wav(tmp_path / "rt.wav", AudioClip(x, 16000))
-    back = load_wav(tmp_path / "rt.wav", target_rate=None)
+    back = load_wav(tmp_path / "rt.wav")
     # quantization plus the 32767-write / 32768-read scale difference
     np.testing.assert_allclose(back.samples, x, atol=1e-4)
 

@@ -3,7 +3,7 @@ import pytest
 
 from capsaudio.autodiff import Graph, Tensor
 from capsaudio.capsnet import (CapsuleLayer, Decoder, decode_reconstruct, length_layer,
-                               margin_loss, predict, squash)
+                               margin_loss, predict, route, squash)
 from capsaudio.errors import NumericsFault, ShapeError
 from capsaudio.gradcheck import weighted_sum
 
@@ -85,6 +85,12 @@ def hand_routing(uhat, iters):
     return v, cs, b
 
 
+def couplings(layer, u):
+    """The [B, P, C] coupling coefficients of every routing iteration the
+    layer runs on primaries u."""
+    return [c.transpose(0, 2, 1) for c, *_ in route(layer.predictions(u), layer.routing_iters)]
+
+
 def pinned_agreement_case():
     """Two primaries agreeing on class 0 and opposing on class 1."""
     u = np.array([[[1.0, 0.0], [0.0, 1.0]]])        # [1, 2, 2]
@@ -113,8 +119,8 @@ def test_route_one_iteration_uniform_coupling(rng):
     layer = CapsuleLayer(rng, n_primary=3, in_dim=2, n_classes=4, caps_dim=2,
                          routing_iters=1)
     u = rng.normal(size=(1, 3, 2))
-    collected = []
-    out = layer(Tensor(u), collect_couplings=collected).data
+    out = layer(Tensor(u)).data
+    collected = couplings(layer, u)
     np.testing.assert_allclose(collected[0], 0.25, atol=1e-15)
     uhat = np.einsum("pcdi,pi->pcd", layer.W.data, u[0])
     expected = hand_squash((0.25 * uhat).sum(axis=0))
@@ -125,8 +131,8 @@ def test_pinned_two_capsule_agreement_matches_hand_oracle(rng):
     u, W, uhat = pinned_agreement_case()
     layer = CapsuleLayer(rng, 2, 2, 2, 2, routing_iters=3)
     layer.W = Tensor(W, requires_grad=True)
-    collected = []
-    out = layer(Tensor(u), collect_couplings=collected).data
+    out = layer(Tensor(u)).data
+    collected = couplings(layer, u)
 
     v_hand, cs_hand, _ = hand_routing(uhat, 3)
     np.testing.assert_allclose(out[0], v_hand, atol=1e-12)
@@ -147,9 +153,10 @@ def test_batched_multiclass_routing_matches_hand_oracle(rng, iters):
     B, P, C, D, I = 3, 5, 4, 3, 2
     layer = CapsuleLayer(rng, P, I, C, D, routing_iters=iters)
     u = rng.normal(size=(B, P, I)) * 2.0
-    collected = []
-    out = layer(Tensor(u), collect_couplings=collected).data
+    out = layer(Tensor(u)).data
+    collected = couplings(layer, u)
     assert out.shape == (B, C, D)
+    assert np.array_equal(out, route(layer.predictions(u), iters)[-1][3])  # same bits
     assert len(collected) == iters
     for k in range(B):
         uhat = np.einsum("pcdi,pi->pcd", layer.W.data, u[k])
@@ -172,8 +179,7 @@ def test_non_finite_weight_names_the_routing_op(rng):
 def test_coupling_rows_sum_to_one_every_iteration(rng):
     layer = CapsuleLayer(rng, 5, 3, 4, 2, routing_iters=5)
     u = rng.normal(size=(3, 5, 3)) * 2.0
-    collected = []
-    layer(Tensor(u), collect_couplings=collected)
+    collected = couplings(layer, u)
     assert len(collected) == 5
     for c in collected:
         np.testing.assert_allclose(c.sum(axis=2), 1.0, atol=1e-12)

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from capsaudio import manifest
+from capsaudio import gradcheck, manifest
 from capsaudio.checkpoint import load_checkpoint, save_checkpoint
 from capsaudio.cli import dispatch
 from capsaudio.config import load_config
@@ -178,7 +178,8 @@ def test_grid_table(tiny_data, tiny_cfg_file, tmp_path):
                      "--out", out, "--axis", "regularization", "--seeds", "0"])
     assert code == 0
     table = os.path.join(out, "grid_regularization.csv")
-    lines = open(table).read().splitlines()
+    with open(table) as fh:
+        lines = fh.read().splitlines()
     assert lines[1] == "axis,value,seed,best_test_metric"
     assert len(lines) == 4  # header comment + columns + 2 rows
 
@@ -209,6 +210,15 @@ def test_gradcheck_verb(tmp_path, capsys):
     assert os.path.exists(report)
 
 
+def test_gradcheck_out_fails_before_the_suite(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(gradcheck, "run_suite", lambda **kw: calls.append(kw) or {})
+    report = str(tmp_path / "absent" / "g.txt")
+    assert dispatch(["gradcheck", "--trials", "1", "--out", report]) == 1
+    assert capsys.readouterr().err == f"error: {report}: No such file or directory\n"
+    assert calls == []
+
+
 def test_synth_multilabel_verb(tiny_data, tmp_path):
     out = str(tmp_path / "multi")
     code = dispatch(["synth-multilabel", "--data", tiny_data, "--out", out,
@@ -228,7 +238,8 @@ def test_analyze_verb(run_dir, tiny_data, tmp_path):
                      "--target-class", "digit_1", "--out", out])
     assert code == 0
     table = os.path.join(out, "scatter_amplitude.csv")
-    lines = open(table).read().splitlines()
+    with open(table) as fh:
+        lines = fh.read().splitlines()
     assert lines[0].startswith("# checkpoint: ")
     assert lines[2] == "level,pc1,pc2"
     assert len(lines) == 3 + 2 * 4  # 2 test clips x 4 default levels
@@ -338,7 +349,8 @@ def test_transfer_on_baseline_is_config_error(tiny_data, tiny_cfg_file, tmp_path
 
 def test_commands_do_not_mutate_inputs(tiny_data, run_dir):
     # dataset files untouched by the runs above
-    man = open(os.path.join(tiny_data, "train.csv")).read()
+    with open(os.path.join(tiny_data, "train.csv")) as fh:
+        man = fh.read()
     assert man.startswith("# split: train")
     wavs = sorted(os.listdir(os.path.join(tiny_data, "wav")))
     assert len(wavs) == 12

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from capsaudio import blas, train
 from capsaudio.config import RunConfig
 from capsaudio.errors import ConfigError
 from capsaudio.train import grid_configs, run_grid, write_grid_table
@@ -55,6 +58,26 @@ def test_run_grid_parallel_matches_serial():
     serial = run_grid(cfg, "regularization", [0, 1], ds, ds, jobs=1)
     parallel = run_grid(cfg, "regularization", [0, 1], ds, ds, jobs=2)
     assert serial == parallel
+
+
+@pytest.mark.skipif(blas.threads() is None, reason="BLAS thread count unknown")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_runs_at_one_blas_thread(jobs, monkeypatch):
+    # Each run reports the BLAS thread count it trained at, in place of a metric.
+    default = blas.threads()
+    real_train = train.train
+
+    def report_threads(cfg, train_set, test_set):
+        trained, metrics = real_train(replace(cfg, epochs=1), train_set, test_set)
+        metrics.test_metric, metrics.best_epoch = [blas.threads()], 1
+        return trained, metrics
+
+    monkeypatch.setattr(train, "train", report_threads)
+    ds = separable_dataset()
+    rows = run_grid(tiny_cfg(), "regularization", [0], ds, ds, jobs=jobs)
+    assert [r["metric"] for r in rows] == [1, 1]
+    # a later run in this process trains at the default count again
+    assert report_threads(tiny_cfg(), ds, ds)[1].best_test_metric == default
 
 
 def test_grid_table_format(tmp_path):

@@ -25,7 +25,7 @@ def separable_dataset(n_per_class=10, t_fix=6, n_dims=4, jitter=0.0, seed=0):
             y = np.zeros(2)
             y[cls] = 1.0
             Y.append(y)
-    return ArrayDataset(np.stack(X), np.stack(Y), ["a", "b"])
+    return ArrayDataset(np.stack(X), np.stack(Y))
 
 
 def tiny_cfg(**kw):
@@ -156,7 +156,7 @@ def test_seed_changes_results():
 
 def test_empty_split_rejected():
     ds = separable_dataset()
-    empty = ArrayDataset(np.zeros((0, 6, 4)), np.zeros((0, 2)), ["a", "b"])
+    empty = ArrayDataset(np.zeros((0, 6, 4)), np.zeros((0, 2)))
     with pytest.raises(InsufficientData):
         train(tiny_cfg(), empty, ds)
     with pytest.raises(InsufficientData):
