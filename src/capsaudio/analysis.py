@@ -3,7 +3,6 @@ activity vectors, scatter-table emission and transfer-feature export."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,7 @@ from .atomic import write_text
 from .audio import AudioClip, resample_linear
 from .errors import ConfigError
 from .features import write_cache
-from .manifest import DatasetManifest, clip_features, materialize
+from .manifest import DatasetManifest, cache_path, clip_features, materialize
 from .train import TrainedModel
 
 DEFAULT_AMPLITUDE_LEVELS = (-0.1, -0.05, 0.05, 0.1)
@@ -137,8 +136,7 @@ def export_transfer_features(trained: TrainedModel, manifest: DatasetManifest,
     written = []
     for entry, m, vec in zip(manifest.entries, mats, caps):
         extra = np.broadcast_to(vec, (m.shape[0], vec.size))
-        path = os.path.join(out_dir, entry.path + ".cafe")
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        path = cache_path(out_dir, entry.path)
         write_cache(path, np.concatenate([m, extra], axis=1))
         written.append(path)
     return written

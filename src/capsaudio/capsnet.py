@@ -22,6 +22,7 @@ from .layers import Dense, Module, dense_backward, glorot
 M_PLUS = 0.9
 M_MINUS = 0.1
 NORM_GUARD = 1e-9  # floor on vector norms in backward passes
+DECODER_HIDDEN = (512, 1024)  # the decoder's two hidden widths
 
 
 def _squash_forward(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,10 +75,7 @@ class CapsuleLayer(Module):
             raise ShapeError(f"routing_iters must be >= 1, got {routing_iters}")
         self.W = Tensor(glorot(rng, (n_primary, n_classes, caps_dim, in_dim),
                                in_dim, caps_dim), requires_grad=True)
-        self.n_primary = n_primary
-        self.in_dim = in_dim
         self.n_classes = n_classes
-        self.caps_dim = caps_dim
         self.routing_iters = routing_iters
 
     def predictions(self, u: np.ndarray) -> np.ndarray:
@@ -91,11 +89,10 @@ class CapsuleLayer(Module):
 
     def __call__(self, u: Tensor) -> Tensor:
         """Route primaries [B, P, in_dim] to class capsules [B, C, caps_dim]."""
-        if u.data.ndim != 3 or u.data.shape[1:] != (self.n_primary, self.in_dim):
-            raise ShapeError(f"expected [batch, {self.n_primary}, {self.in_dim}], "
-                             f"got {u.shape}")
-        B, P, I = u.data.shape
-        C, D, iters = self.n_classes, self.caps_dim, self.routing_iters
+        P, C, D, I = self.W.data.shape
+        if u.data.ndim != 3 or u.data.shape[1:] != (P, I):
+            raise ShapeError(f"expected [batch, {P}, {I}], got {u.shape}")
+        B, iters = u.data.shape[0], self.routing_iters
         ut = u.data.transpose(1, 0, 2)                              # [P, B, I]
         Wm = self.W.data.reshape(P, C * D, I)
         uhat = self.predictions(u.data)
@@ -167,7 +164,7 @@ class Decoder(Module):
     masked class capsules; decode_reconstruct runs them."""
 
     def __init__(self, rng, n_classes: int, caps_dim: int, out_dim: int,
-                 hidden: tuple[int, int] = (512, 1024)):
+                 hidden: tuple[int, int] = DECODER_HIDDEN):
         self.fc1 = Dense(rng, n_classes * caps_dim, hidden[0])
         self.fc2 = Dense(rng, hidden[0], hidden[1])
         self.out = Dense(rng, hidden[1], out_dim)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .config import RunConfig, config_from_text, config_to_text
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 MAGIC = b"CPSN"
 VERSION = 1
@@ -62,7 +62,7 @@ def load_checkpoint(path) -> tuple[RunConfig, dict[str, np.ndarray]]:
 
     Every block is its own aligned, C-contiguous, writeable array that owns
     its data. Raises OSError if path cannot be opened and FormatError if
-    the file breaks the format.
+    the file breaks the format, an invalid embedded config included.
     """
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
@@ -105,7 +105,7 @@ def load_checkpoint(path) -> tuple[RunConfig, dict[str, np.ndarray]]:
                     raise FormatError(f"{path}: checkpoint shrank while reading "
                                       f"block {name!r}")
                 blocks[name] = arr
-        except UnicodeDecodeError as e:
+        except (UnicodeDecodeError, ConfigError) as e:
             raise FormatError(f"{path}: corrupt checkpoint: {e}") from None
         if left:
             raise FormatError(f"{path}: {left} trailing bytes")

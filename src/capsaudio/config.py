@@ -7,6 +7,7 @@ carries the complete effective configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .atomic import write_text
@@ -49,12 +50,13 @@ def validate(cfg: RunConfig) -> None:
         (cfg.caps_dim >= 2, f"caps_dim must be >= 2, got {cfg.caps_dim}"),
         (cfg.routing_iters >= 1, f"routing_iters must be >= 1, got {cfg.routing_iters}"),
         (0.0 <= cfg.dropout < 1.0, f"dropout must be in [0, 1), got {cfg.dropout}"),
-        (cfg.lr > 0, f"lr must be positive, got {cfg.lr}"),
+        (0 < cfg.lr < math.inf, f"lr must be in (0, inf), got {cfg.lr}"),
         (cfg.batch_size >= 1, f"batch_size must be >= 1, got {cfg.batch_size}"),
         (cfg.epochs >= 0, f"epochs must be >= 0, got {cfg.epochs}"),
         (cfg.T_fix >= 1, f"T_fix must be >= 1, got {cfg.T_fix}"),
-        (cfg.recon_weight >= 0, f"recon_weight must be >= 0, got {cfg.recon_weight}"),
-        (cfg.lambda_ > 0, f"lambda must be positive, got {cfg.lambda_}"),
+        (0 <= cfg.recon_weight < math.inf,
+         f"recon_weight must be in [0, inf), got {cfg.recon_weight}"),
+        (0 < cfg.lambda_ < math.inf, f"lambda must be in (0, inf), got {cfg.lambda_}"),
         (cfg.hidden_size >= 1, f"hidden_size must be >= 1, got {cfg.hidden_size}"),
         (0.0 < cfg.threshold < 1.0, f"threshold must be in (0, 1), got {cfg.threshold}"),
     ]

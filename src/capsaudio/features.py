@@ -15,6 +15,7 @@ multiplies by are built once per FeatureConfig and cached read-only
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -194,9 +195,10 @@ def write_cache(path, m: np.ndarray) -> None:
     """Binary cache: magic CAFE, u32 n_frames, u32 n_dims, row-major f32.
 
     The write is atomic (atomic.atomic_write), so a concurrent reader that
-    finds path sees a whole file.
+    finds path sees a whole file. path's directory is made if missing.
     """
     payload = np.ascontiguousarray(m, dtype="<f4").tobytes()
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with atomic_write(path) as fh:
         fh.write(CACHE_MAGIC + struct.pack("<II", *m.shape) + payload)
 

@@ -19,6 +19,7 @@ from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .capsnet import (CapsuleLayer, Decoder, decode_reconstruct, length_layer, margin_loss,
                       squash)
+from .config import RunConfig
 from .layers import AttentionPool, BatchNorm, BiLSTM, Dense, dropout, mean_pool
 from .models import CapsModel, sigmoid_xent, softmax_xent
 
@@ -150,9 +151,9 @@ def _make_margin(rng):
 
 def _make_full_model(rng):
     targets = np.eye(2)[rng.integers(2, size=2)]
-    model = _seeded(CapsModel, n_dims=3, hidden=2, t_fix=4, n_classes=2, caps_dim=2,
-                    routing_iters=2, dropout_rate=0.0, use_decoder=True,
-                    decoder_hidden=(3, 4))
+    cfg = RunConfig(caps_dim=2, routing_iters=2, use_decoder=True, hidden_size=2,
+                    dropout=0.0, T_fix=4)
+    model = _seeded(CapsModel, cfg, 3, 2, decoder_hidden=(3, 4))
     return _module(model, (2, 4, 3), scale=0.5, loss=lambda net, x: net.forward(
         x, training=True, rng=None, targets=targets).loss)(rng)
 

@@ -146,7 +146,6 @@ class BiLSTM(Module):
     def __init__(self, rng, n_in: int, hidden: int):
         self.fwd = LSTMDirection(rng, n_in, hidden)
         self.bwd = LSTMDirection(rng, n_in, hidden)
-        self.hidden = hidden
 
     def __call__(self, x: Tensor) -> Tensor:
         """One tape op over x and both directions' parameters; the backward
@@ -156,7 +155,7 @@ class BiLSTM(Module):
             raise ShapeError(f"bilstm expects [batch, frames, dims], got {x.shape}")
         if x.data.shape[1] == 0:
             raise InputTooShort("bilstm got a zero-length sequence")
-        H = self.hidden
+        H = self.fwd.Wh.data.shape[0]
         dirs = (self.fwd, self.bwd)
         inputs = (x, *self.params().values())
         xf = np.ascontiguousarray(x.data.transpose(1, 0, 2))

@@ -67,7 +67,8 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _cache_path(cache_dir: str, rel: str) -> str:
+def cache_path(cache_dir: str, rel: str) -> str:
+    """The feature cache file under cache_dir for the clip at relative path rel."""
     return os.path.join(cache_dir, rel + ".cafe")
 
 
@@ -92,14 +93,11 @@ def materialize(manifest: DatasetManifest, root: str,
         raise ConfigError(f"materialize runs one path at a time; got jobs={jobs}")
 
     def one(rel: str) -> np.ndarray:
-        if cache_dir is not None:
-            cpath = _cache_path(cache_dir, rel)
-            if os.path.exists(cpath):
-                return read_cache(cpath)
+        cpath = None if cache_dir is None else cache_path(cache_dir, rel)
+        if cpath is not None and os.path.exists(cpath):
+            return read_cache(cpath)
         m = clip_features(load_wav(os.path.join(root, rel)), cfg)
-        if cache_dir is not None:
-            cpath = _cache_path(cache_dir, rel)
-            os.makedirs(os.path.dirname(cpath) or ".", exist_ok=True)
+        if cpath is not None:
             write_cache(cpath, m)  # m is already f32-rounded: what a read would return
         return m
 

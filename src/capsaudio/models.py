@@ -1,5 +1,7 @@
 """The three trainable architectures: capsule network and the two
-recurrent baselines (mean-pool LSTM and attention-pool LSTM)."""
+recurrent baselines (mean-pool LSTM and attention-pool LSTM). Each is built
+from (rng, cfg, n_dims, n_classes), shares one front end (Encoder: BN ->
+BiLSTM x2) and reads its hyperparameters from the RunConfig it holds."""
 
 from __future__ import annotations
 
@@ -9,8 +11,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .capsnet import (CapsuleLayer, Decoder, decode_reconstruct, length_layer, margin_loss,
-                      squash)
+from .capsnet import (DECODER_HIDDEN, CapsuleLayer, Decoder, decode_reconstruct,
+                      length_layer, margin_loss, squash)
 from .errors import ShapeError
 from .layers import AttentionPool, BatchNorm, BiLSTM, Dense, Module, dropout, mean_pool
 
@@ -24,82 +26,80 @@ class ForwardOutput:
     caps: Tensor | None = None   # [B, n_classes, caps_dim] activity vectors
 
 
-class CapsModel(Module):
-    """BN -> BiLSTM x2 -> dropout -> (squash) -> capsule routing -> lengths.
+class Encoder(Module):
+    """BN -> BiLSTM x2 with cfg.hidden_size units per direction: the front
+    end of every architecture, whose subclasses add the head."""
+
+    def __init__(self, rng, cfg, n_dims: int, n_classes: int):
+        self.bn = BatchNorm(n_dims)
+        self.lstm1 = BiLSTM(rng, n_dims, cfg.hidden_size)
+        self.lstm2 = BiLSTM(rng, 2 * cfg.hidden_size, cfg.hidden_size)
+        self.cfg = cfg
+        self.n_classes = n_classes
+
+    def encode(self, x: Tensor, training: bool) -> Tensor:
+        """[B, T, n_dims] -> [B, T, 2 * hidden_size]."""
+        return self.lstm2(self.lstm1(self.bn(x, training)))
+
+
+class CapsModel(Encoder):
+    """Encoder -> dropout -> (squash) -> capsule routing -> lengths.
 
     Each timestep's BiLSTM output vector is one primary capsule, so the
     capsule transform is indexed by position and inputs must be padded or
-    truncated to t_fix frames.
+    truncated to cfg.T_fix frames.
     """
 
-    def __init__(self, rng, n_dims: int, hidden: int, t_fix: int, n_classes: int,
-                 caps_dim: int, routing_iters: int, dropout_rate: float,
-                 use_decoder: bool, recon_weight: float = 0.1, lam: float = 0.5,
-                 decoder_hidden: tuple[int, int] = (512, 1024)):
-        self.bn = BatchNorm(n_dims)
-        self.lstm1 = BiLSTM(rng, n_dims, hidden)
-        self.lstm2 = BiLSTM(rng, 2 * hidden, hidden)
-        self.caps = CapsuleLayer(rng, t_fix, 2 * hidden, n_classes, caps_dim,
-                                 routing_iters)
-        self.decoder = (Decoder(rng, n_classes, caps_dim, t_fix * n_dims,
-                                decoder_hidden) if use_decoder else None)
-        self.n_classes = n_classes
-        self.t_fix = t_fix
-        self.dropout_rate = dropout_rate
-        self.recon_weight = recon_weight
-        self.lam = lam
+    def __init__(self, rng, cfg, n_dims: int, n_classes: int,
+                 decoder_hidden: tuple[int, int] = DECODER_HIDDEN):
+        super().__init__(rng, cfg, n_dims, n_classes)
+        self.caps = CapsuleLayer(rng, cfg.T_fix, 2 * cfg.hidden_size, n_classes,
+                                 cfg.caps_dim, cfg.routing_iters)
+        self.decoder = (Decoder(rng, n_classes, cfg.caps_dim, cfg.T_fix * n_dims,
+                                decoder_hidden) if cfg.use_decoder else None)
 
     def forward(self, x, training: bool, rng,
                 targets: np.ndarray | None = None) -> ForwardOutput:
         x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.data.shape[1] != self.t_fix:
-            raise ShapeError(f"expected {self.t_fix} frames, got {x.data.shape[1]}")
-        h = self.bn(x, training)
-        h = self.lstm1(h)
-        h = self.lstm2(h)
-        h = dropout(h, self.dropout_rate, training, rng)
+        if x.data.shape[1] != self.cfg.T_fix:
+            raise ShapeError(f"expected {self.cfg.T_fix} frames, got {x.data.shape[1]}")
+        h = dropout(self.encode(x, training), self.cfg.dropout, training, rng)
         u = squash(h)  # primary capsules, one per timestep
         v = self.caps(u)
         lengths = length_layer(v)
 
         loss = None
         if targets is not None:
-            loss = margin_loss(lengths, targets, self.lam)
+            loss = margin_loss(lengths, targets, self.cfg.lambda_)
             if self.decoder is not None:
                 _, recon_loss = decode_reconstruct(v, targets, self.decoder, x,
-                                                   self.recon_weight)
+                                                   self.cfg.recon_weight)
                 loss = ad.add(loss, recon_loss)
         return ForwardOutput(scores=lengths, loss=loss, caps=v)
 
 
-class RecurrentBaseline(Module):
-    """BN -> BiLSTM x2 -> pooling -> dense head.
+class RecurrentBaseline(Encoder):
+    """Encoder -> pooling (cfg.model 'lstm': mean, 'att': attention) -> dense head.
 
-    mode 'single' trains with softmax cross-entropy, 'multi' with per-class
+    cfg.mode 'single' trains with softmax cross-entropy, 'multi' with per-class
     binary cross-entropy; scores are the head probabilities either way.
     """
 
-    def __init__(self, rng, n_dims: int, hidden: int, n_classes: int,
-                 mode: str, pooling: str):
-        self.bn = BatchNorm(n_dims)
-        self.lstm1 = BiLSTM(rng, n_dims, hidden)
-        self.lstm2 = BiLSTM(rng, 2 * hidden, hidden)
-        att = AttentionPool(rng, 2 * hidden, hidden) if pooling == "att" else None
+    def __init__(self, rng, cfg, n_dims: int, n_classes: int):
+        super().__init__(rng, cfg, n_dims, n_classes)
+        hidden = cfg.hidden_size
+        att = AttentionPool(rng, 2 * hidden, hidden) if cfg.model == "att" else None
         self.head = Dense(rng, 2 * hidden, n_classes)
         self.att = att  # drawn before head, named after it (checkpoint order)
-        self.n_classes = n_classes
-        self.mode = mode
 
     def forward(self, x, training: bool, rng,
                 targets: np.ndarray | None = None) -> ForwardOutput:
         x = x if isinstance(x, Tensor) else Tensor(x)
-        h = self.bn(x, training)
-        h = self.lstm1(h)
-        h = self.lstm2(h)
+        h = self.encode(x, training)
         pooled = self.att(h) if self.att is not None else mean_pool(h)
         logits = self.head(pooled)
 
-        xent = softmax_xent if self.mode == "single" else sigmoid_xent
+        xent = softmax_xent if self.cfg.mode == "single" else sigmoid_xent
         probs, loss = xent(logits, targets)
         return ForwardOutput(scores=Tensor(probs), loss=loss)
 
@@ -156,10 +156,7 @@ def build_model(cfg, n_dims: int, n_classes: int, rng):
     train.load_blocks to replace from a checkpoint.
     """
     if cfg.model == "caps":
-        return CapsModel(rng, n_dims, cfg.hidden_size, cfg.T_fix, n_classes,
-                         cfg.caps_dim, cfg.routing_iters, cfg.dropout,
-                         cfg.use_decoder, cfg.recon_weight, cfg.lambda_)
+        return CapsModel(rng, cfg, n_dims, n_classes)
     if cfg.model in ("lstm", "att"):
-        return RecurrentBaseline(rng, n_dims, cfg.hidden_size, n_classes,
-                                 cfg.mode, "att" if cfg.model == "att" else "mean")
+        return RecurrentBaseline(rng, cfg, n_dims, n_classes)
     raise ShapeError(f"unknown model {cfg.model!r}")

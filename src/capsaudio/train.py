@@ -16,7 +16,8 @@ from .autodiff import Graph, Tensor
 from .capsnet import predict
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_to_text, save_config, validate
-from .errors import ConfigError, DivergenceFault, InsufficientData, NumericsFault, ShapeError
+from .errors import (ConfigError, DivergenceFault, FormatError, InsufficientData,
+                     NumericsFault, ShapeError)
 from .features import ScalerParams, apply_scaler, fit_scaler
 from .manifest import load_manifest, materialize, targets_for
 from .models import build_model
@@ -169,8 +170,11 @@ def read_metrics_rows(path) -> list[tuple[int, float, float, float]]:
 @dataclass
 class TrainedModel:
     model: object
-    cfg: RunConfig
     scaler: ScalerParams | None = None
+
+    @property
+    def cfg(self) -> RunConfig:
+        return self.model.cfg
 
     def _batched(self, X: np.ndarray, output: str) -> np.ndarray:
         """One ForwardOutput field over X in chunks of EVAL_BATCH rows."""
@@ -225,19 +229,25 @@ def load_trained(path) -> TrainedModel:
 
     The model is built with rng=None (read-only placeholders, no random
     draws) and load_blocks then replaces every parameter and state array
-    with the checkpoint's; a missing block raises KeyError, so no
-    placeholder is returned.
+    with the checkpoint's; a missing or mis-shaped block raises FormatError
+    naming path and block first, so no placeholder is returned.
     """
     cfg, blocks = load_checkpoint(path)
-    n_dims = blocks["bn.gamma"].shape[0]
-    n_classes = (blocks["caps.W"].shape[1] if cfg.model == "caps"
-                 else blocks["head.b"].shape[0])
+    sizes = (("bn.gamma", 0), ("caps.W", 1) if cfg.model == "caps" else ("head.b", 0))
+    for name, axis in sizes:
+        if name not in blocks or blocks[name].ndim <= axis:
+            raise FormatError(f"{path}: block {name!r} missing or of rank below {axis + 1}")
+    n_dims, n_classes = (blocks[name].shape[axis] for name, axis in sizes)
     model = build_model(cfg, n_dims, n_classes, None)
+    for name, want in model_blocks(model).items():
+        if name not in blocks or blocks[name].shape != want.shape:
+            got = f"has shape {blocks[name].shape}" if name in blocks else "is missing"
+            raise FormatError(f"{path}: block {name!r} {got}, the model needs {want.shape}")
     load_blocks(model, blocks)
     scaler = None
     if "scaler.min" in blocks:
         scaler = ScalerParams(blocks["scaler.min"], blocks["scaler.max"])
-    return TrainedModel(model, cfg, scaler)
+    return TrainedModel(model, scaler)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +277,7 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3))
     model = build_model(cfg, n_dims, n_classes, init_rng)
     opt = Adam(cfg.lr)
-    trained = TrainedModel(model, cfg)
+    trained = TrainedModel(model)
     metrics = Metrics(metric_name(cfg.mode))
 
     # Adam.step and BatchNorm replace arrays, never write into them.

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -288,14 +289,46 @@ def _trained_checkpoint(tmp_path, model, **kw):
     return trained, path, ds
 
 
+@pytest.mark.parametrize("old, new, message", [
+    (b"model=caps", b"modex=cap", "unknown key 'modex'"),
+    (b"caps_dim=16", b"caps_dim=-1", "caps_dim must be >= 2"),
+])
+def test_invalid_embedded_config_is_format_error(tmp_path, old, new, message):
+    path = tmp_path / "m.cpsn"
+    save_checkpoint(path, RunConfig(), {"x": np.ones(2)})
+    path.write_bytes(path.read_bytes().replace(old, new, 1))  # same length
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{message}"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("model, missing", [("caps", "lstm2.bwd.Wh"), ("caps", "caps.W"),
-                                            ("att", "att.v"), ("lstm", "bn.beta")])
+                                            ("att", "att.v"), ("lstm", "bn.beta"),
+                                            ("lstm", "head.b"), ("caps", "bn.gamma"),
+                                            ("caps", "state.bn.running_var")])
 def test_load_trained_missing_parameter_block_raises(tmp_path, model, missing):
     trained, path, _ = _trained_checkpoint(tmp_path, model)
     cfg, blocks = load_checkpoint(path)
     del blocks[missing]
     save_checkpoint(path, cfg, blocks)
-    with pytest.raises(KeyError):
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: block '{missing}'"):
+        load_trained(path)
+
+
+@pytest.mark.parametrize("model, name, shape", [
+    ("caps", "lstm2.bwd.Wh", (3, 16)),
+    ("caps", "caps.W", (6, 2, 2)),         # too few dims to give n_classes
+    ("caps", "bn.gamma", ()),              # too few dims to give n_dims
+    ("caps", "lstm1.fwd.b", (4, 4)),
+    ("att", "att.v", (4,)),
+    ("lstm", "head.b", (2, 1)),            # gives n_classes, but of the wrong rank
+    ("lstm", "state.bn.running_mean", (5,)),
+])
+def test_load_trained_misshaped_block_raises(tmp_path, model, name, shape):
+    _, path, _ = _trained_checkpoint(tmp_path, model)
+    cfg, blocks = load_checkpoint(path)
+    blocks[name] = np.zeros(shape)
+    save_checkpoint(path, cfg, blocks)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: block '{name}'"):
         load_trained(path)
 
 

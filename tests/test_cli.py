@@ -2,6 +2,7 @@ import hashlib
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from capsaudio import gradcheck, manifest
@@ -298,6 +299,46 @@ def test_file_error_is_one_error_line(case, tiny_data, tiny_cfg_file, tmp_path, 
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert path.format(**fill) in err
     assert sorted(os.walk(tmp_path)) == before  # nothing created
+
+
+def _edit_blocks(edit):
+    def rewrite(src, dst):
+        cfg, blocks = load_checkpoint(src)
+        edit(blocks)
+        save_checkpoint(dst, cfg, blocks)
+
+    return rewrite
+
+
+def _rename_model_key(src, dst):
+    with open(src, "rb") as fh:
+        raw = fh.read()
+    with open(dst, "wb") as fh:
+        fh.write(raw.replace(b"model=caps", b"modex=cap", 1))  # same length
+
+
+# Each case: how a copy of the trained checkpoint is broken, and what the
+# error line must say besides its path.
+BAD_CHECKPOINTS = {
+    "missing-block": (_edit_blocks(lambda b: b.pop("lstm2.bwd.Wh")),
+                      "block 'lstm2.bwd.Wh' is missing"),
+    "misshaped-block": (_edit_blocks(lambda b: b.update({"lstm2.bwd.Wh": np.zeros((3, 16))})),
+                        "block 'lstm2.bwd.Wh' has shape (3, 16)"),
+    "invalid-config": (_rename_model_key, "unknown key 'modex'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CHECKPOINTS)
+def test_checkpoint_that_does_not_fit_is_one_error_line(case, run_dir, tiny_data,
+                                                        tmp_path, capsys):
+    rewrite, says = BAD_CHECKPOINTS[case]
+    ckpt = str(tmp_path / "bad.cpsn")
+    rewrite(os.path.join(run_dir, "checkpoint.cpsn"), ckpt)
+    code = dispatch(["eval", "--checkpoint", ckpt, "--data", tiny_data])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+    assert says in err
 
 
 @pytest.mark.parametrize("verb", [

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from capsaudio.config import (RunConfig, apply_overrides, config_from_text,
@@ -54,6 +56,7 @@ def test_bad_value_types():
     ("dropout", 1.0), ("dropout", -0.1), ("lr", 0.0), ("batch_size", 0),
     ("epochs", -1), ("T_fix", 0), ("recon_weight", -0.5), ("lambda_", 0.0),
     ("hidden_size", 0), ("threshold", 0.0), ("threshold", 1.0),
+    ("lr", float("inf")), ("recon_weight", float("inf")), ("lambda_", float("inf")),
 ])
 def test_validation_bounds(field, value):
     cfg = RunConfig(**{field: value})
@@ -85,3 +88,12 @@ def test_override_validates_result():
 def test_comments_ignored():
     cfg = config_from_text("# a comment\n" + config_to_text(RunConfig()))
     assert cfg == RunConfig()
+
+
+def test_readme_config_example_parses():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    after = text[text.index("A config file pins every hyperparameter"):]
+    block = after.split("```\n")[1]  # the first fenced block after that sentence
+    assert config_from_text(block) == RunConfig()
