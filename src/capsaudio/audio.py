@@ -38,10 +38,6 @@ class AudioClip:
         if not np.all(np.isfinite(self.samples)):
             raise ParseError("audio clip contains non-finite samples")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def resample_linear(samples: np.ndarray, n_out: int) -> np.ndarray:
     """Resample to exactly n_out samples by linear interpolation."""

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError, check_finite
-from .layers import Dense, Module, dense_backward, glorot
+from .layers import Dense, Module, dense_backward, glorot, softmax, softmax_backward
 
 # Margin-loss length targets for present and absent classes (Sabour et al. 2017).
 M_PLUS = 0.9
@@ -54,8 +54,7 @@ def route(uhat: np.ndarray, iters: int) -> list[tuple[np.ndarray, ...]]:
     with np.errstate(invalid="ignore", over="ignore"):
         # non-finite values trip NumericsFault on v in apply_op
         for it in range(iters):
-            e = np.exp(b - b.max(axis=1, keepdims=True))
-            c = e / e.sum(axis=1, keepdims=True)                   # softmax over C
+            c = softmax(b, axis=1)                                 # over C
             s = (c[:, :, None, :] @ uhat)[:, :, 0]                  # [B, C, D]
             n, v = _squash_forward(s)
             if it < iters - 1:
@@ -117,7 +116,7 @@ class CapsuleLayer(Module):
                 right.append(gs)
                 if t > 0:  # the first iteration's logits are constant zeros
                     gc = (uhat @ gs[..., None])[..., 0]
-                    gl = (gc - (gc * c).sum(axis=1, keepdims=True)) * c
+                    gl = softmax_backward(gc, c, axis=1)
                     gb = gl if gb is None else gb + gl
             duhat = np.stack(left, axis=-1) @ np.stack(right, axis=-2)  # [B, C, P, D]
             duh = duhat.transpose(2, 0, 1, 3).reshape(P, B, C * D)

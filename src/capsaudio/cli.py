@@ -23,8 +23,9 @@ from .config import apply_overrides, load_config
 from .errors import CapsAudioError, ConfigError
 from .features import FeatureConfig
 from .manifest import materialize, synth_multilabel, save_manifest, targets_for
-from .train import (GRID_AXES, ArrayDataset, evaluate, load_splits, load_trained,
-                    metric_name, prepare_data, run_grid, run_training, write_grid_table)
+from .train import (GRID_AXES, ArrayDataset, check_labels, evaluate, load_splits,
+                    load_trained, metric_name, prepare_data, run_grid, run_training,
+                    write_grid_table)
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -101,8 +102,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     trained, mans, class_names = _load_matching(args)
     man = mans[args.split]
+    targets = targets_for(man, class_names)
+    check_labels(trained.cfg.mode, targets)
     mats = materialize(man, args.data, FeatureConfig(), cache_dir=args.features)
-    ds = ArrayDataset(trained.inputs(mats), targets_for(man, class_names))
+    ds = ArrayDataset(trained.inputs(mats), targets)
     metric, _ = evaluate(trained, ds)
     print(f"eval: {args.split} {metric_name(trained.cfg.mode)}={metric}")
     return 0

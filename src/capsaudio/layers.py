@@ -29,6 +29,17 @@ def glorot(rng: np.random.Generator | None, shape, fan_in: int,
     return rng.uniform(-limit, limit, size=shape)
 
 
+def softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along axis, shifted by the maximum so that exp cannot overflow."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """d(loss)/dx from g = d(loss)/dp, with p = softmax(x, axis)."""
+    return (g - (g * p).sum(axis=axis, keepdims=True)) * p
+
+
 class Module:
     """Base of every layer and model; names their arrays in one way.
 
@@ -209,13 +220,12 @@ class AttentionPool(Module):
         check_finite("attention", z)  # tanh saturates, so an overflow would not show
         th = np.tanh(z)
         scores = th @ v                                             # [B, T, 1]
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        alpha = e / e.sum(axis=1, keepdims=True)                    # softmax over T
+        alpha = softmax(scores, axis=1)                             # over T
 
         def backward(g):
             g = np.broadcast_to(g[:, None], hd.shape)  # spread over T
             dalpha = (g * hd).sum(axis=2, keepdims=True)
-            dscores = (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True)) * alpha
+            dscores = softmax_backward(dalpha, alpha, axis=1)
             dv = (np.swapaxes(th, -1, -2) @ dscores).sum(axis=0)
             dz = (dscores @ v.T) * (1.0 - th * th)
             dW = (np.swapaxes(hd, -1, -2) @ dz).sum(axis=0)

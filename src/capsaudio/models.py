@@ -14,7 +14,8 @@ from .autodiff import Tensor
 from .capsnet import (DECODER_HIDDEN, CapsuleLayer, Decoder, decode_reconstruct,
                       length_layer, margin_loss, squash)
 from .errors import ShapeError
-from .layers import AttentionPool, BatchNorm, BiLSTM, Dense, Module, dropout, mean_pool
+from .layers import (AttentionPool, BatchNorm, BiLSTM, Dense, Module, dropout, mean_pool,
+                     softmax, softmax_backward)
 
 LOG_CLAMP = 1e-12
 
@@ -109,9 +110,7 @@ def softmax_xent(logits: Tensor, targets: np.ndarray | None):
     their cross-entropy summed over classes and averaged over the batch, as
     one "softmax_xent" op. log clamps its argument at LOG_CLAMP, so a
     clamped probability gets no gradient."""
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = softmax(logits.data, axis=-1)
     if targets is None:
         return probs, None
     t = np.asarray(targets, dtype=np.float64)
@@ -120,7 +119,7 @@ def softmax_xent(logits: Tensor, targets: np.ndarray | None):
 
     def backward(g):
         g = (-g / B) * t / p * (probs > LOG_CLAMP).astype(np.float64)
-        return ((g - (g * probs).sum(axis=-1, keepdims=True)) * probs,)
+        return (softmax_backward(g, probs, axis=-1),)
 
     loss = -(t * np.log(p)).sum(axis=1).mean()
     return probs, ad.apply_op("softmax_xent", (logits,), loss, backward)

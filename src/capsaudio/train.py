@@ -230,7 +230,9 @@ def load_trained(path) -> TrainedModel:
     The model is built with rng=None (read-only placeholders, no random
     draws) and load_blocks then replaces every parameter and state array
     with the checkpoint's; a missing or mis-shaped block raises FormatError
-    naming path and block first, so no placeholder is returned.
+    naming path and block first, so no placeholder is returned. The scaler
+    blocks, 'scaler.min' and 'scaler.max' of shape [n_dims], come both or
+    neither.
     """
     cfg, blocks = load_checkpoint(path)
     sizes = (("bn.gamma", 0), ("caps.W", 1) if cfg.model == "caps" else ("head.b", 0))
@@ -239,19 +241,28 @@ def load_trained(path) -> TrainedModel:
             raise FormatError(f"{path}: block {name!r} missing or of rank below {axis + 1}")
     n_dims, n_classes = (blocks[name].shape[axis] for name, axis in sizes)
     model = build_model(cfg, n_dims, n_classes, None)
-    for name, want in model_blocks(model).items():
+    has_scaler = "scaler.min" in blocks or "scaler.max" in blocks
+    zero = np.zeros(n_dims)  # a scaler block's shape; either block asks for both
+    want_scaler = ScalerParams(zero, zero) if has_scaler else None
+    for name, want in model_blocks(model, want_scaler).items():
         if name not in blocks or blocks[name].shape != want.shape:
             got = f"has shape {blocks[name].shape}" if name in blocks else "is missing"
             raise FormatError(f"{path}: block {name!r} {got}, the model needs {want.shape}")
     load_blocks(model, blocks)
-    scaler = None
-    if "scaler.min" in blocks:
-        scaler = ScalerParams(blocks["scaler.min"], blocks["scaler.max"])
-    return TrainedModel(model, scaler)
+    if has_scaler:
+        return TrainedModel(model, ScalerParams(blocks["scaler.min"], blocks["scaler.max"]))
+    return TrainedModel(model)
 
 
 # ---------------------------------------------------------------------------
 # training
+
+def check_labels(mode: str, Y: np.ndarray) -> None:
+    """mode=single scores one label per entry; targets Y with a row of any
+    other count raise ConfigError."""
+    if mode == "single" and not np.all(Y.sum(axis=1) == 1):
+        raise ConfigError("mode=single requires exactly one label per entry")
+
 
 def evaluate(trained: TrainedModel, ds: ArrayDataset) -> tuple[float, np.ndarray]:
     scores = trained.scores(ds.X)
@@ -268,8 +279,8 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
         raise InsufficientData("empty train or test split")
     if train_set.X.shape[1] != cfg.T_fix:
         raise ShapeError(f"dataset frames {train_set.X.shape[1]} != T_fix {cfg.T_fix}")
-    if cfg.mode == "single" and not np.all(train_set.Y.sum(axis=1) == 1):
-        raise ConfigError("mode=single requires exactly one label per entry")
+    for ds in (train_set, test_set):
+        check_labels(cfg.mode, ds.Y)
 
     n_dims = train_set.X.shape[2]
     n_classes = train_set.Y.shape[1]

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,26 @@ def test_eval_on_split_missing_a_class(run_dir, tiny_data, tmp_path, capsys):
                      "--data", data])
     assert code == 0
     assert "accuracy=" in capsys.readouterr().out
+
+
+def test_single_mode_rejects_multi_label_test_row(run_dir, tiny_data, tiny_cfg_file,
+                                                  tmp_path, capsys):
+    data = str(tmp_path / "two_labels")
+    shutil.copytree(tiny_data, data)
+    path = os.path.join(data, "test.csv")
+    man = load_manifest(path, "test")
+    man.entries[0] = replace(man.entries[0], labels=frozenset({"digit_0", "digit_1"}))
+    save_manifest(path, man)
+    says = "error: mode=single requires exactly one label per entry\n"
+    code = dispatch(["train", "--config", tiny_cfg_file, "--data", data,
+                     "--out", str(tmp_path / "r")])
+    assert (code, capsys.readouterr().err) == (3, says)
+    code = dispatch(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.cpsn"),
+                     "--data", data])
+    assert (code, capsys.readouterr().err) == (3, says)
+    code = dispatch(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.cpsn"),
+                     "--data", data, "--split", "train"])
+    assert code == 0
 
 
 def test_class_count_mismatch_exit_code(run_dir, tiny_data, tmp_path, capsys):
@@ -325,6 +346,10 @@ BAD_CHECKPOINTS = {
     "misshaped-block": (_edit_blocks(lambda b: b.update({"lstm2.bwd.Wh": np.zeros((3, 16))})),
                         "block 'lstm2.bwd.Wh' has shape (3, 16)"),
     "invalid-config": (_rename_model_key, "unknown key 'modex'"),
+    "missing-scaler-block": (_edit_blocks(lambda b: b.pop("scaler.max")),
+                             "block 'scaler.max' is missing"),
+    "misshaped-scaler-block": (_edit_blocks(lambda b: b.update({"scaler.max": np.zeros(5)})),
+                               "block 'scaler.max' has shape (5,)"),
 }
 
 

@@ -7,7 +7,19 @@ from capsaudio import kernels
 from capsaudio.autodiff import Graph, Tensor
 from capsaudio.errors import (ConfigError, DegenerateBatch, InputTooShort, NumericsFault,
                               ShapeError)
-from capsaudio.layers import AttentionPool, BatchNorm, BiLSTM, Dense, dropout, mean_pool
+from capsaudio.layers import (AttentionPool, BatchNorm, BiLSTM, Dense, dropout, mean_pool,
+                              softmax)
+
+
+# --- softmax ----------------------------------------------------------------
+
+@pytest.mark.parametrize("shift", [1e3, -1e3])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_softmax_of_large_logits_is_finite_and_sums_to_one(rng, axis, shift):
+    # exp(1e3) overflows and exp(-1e3) underflows to 0: only the max shift keeps p finite
+    p = softmax(shift + rng.normal(size=(3, 4, 5)), axis)
+    assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+    np.testing.assert_allclose(p.sum(axis=axis), 1.0, rtol=0.0, atol=1e-12)
 
 
 # --- batch norm -------------------------------------------------------------
