@@ -1,14 +1,16 @@
 """WAV loading, writing and linear resampling.
 
 Only RIFF/WAVE containers with uncompressed payloads are handled: 8/16/24-bit
-integer PCM and 32-bit IEEE float. Everything is reduced to mono float64 in
-[-1, 1] and resampled to a uniform 16 kHz so downstream frame geometry is
-identical for every clip.
+integer PCM and 32-bit IEEE float, under their own format tag or under
+WAVE_FORMAT_EXTENSIBLE's. Everything is reduced to mono float64 in [-1, 1]
+and resampled to a uniform 16 kHz so downstream frame geometry is identical
+for every clip.
 """
 
 from __future__ import annotations
 
 import struct
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,9 @@ TARGET_RATE = 16000
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
+_FMT_EXTENSIBLE = 0xFFFE
+_SUBFORMATS = {uuid.UUID(f"{tag:08x}-0000-0010-8000-00aa00389b71"): tag
+               for tag in (_FMT_PCM, _FMT_FLOAT)}
 
 
 @dataclass
@@ -113,6 +118,13 @@ def load_wav(path) -> AudioClip:
             if len(body) < 16:
                 raise ParseError("fmt chunk shorter than 16 bytes")
             tag, n_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
+            if tag == _FMT_EXTENSIBLE:  # the sub-format GUID at offset 24 holds the tag
+                if len(body) < 40:
+                    raise ParseError(f"extensible fmt chunk has {len(body)} of 40 bytes")
+                guid = uuid.UUID(bytes_le=body[24:40])
+                if guid not in _SUBFORMATS:
+                    raise UnsupportedFormat(f"unknown WAVE_FORMAT_EXTENSIBLE sub-format {guid}")
+                tag = _SUBFORMATS[guid]
             fmt = (tag, n_channels, rate, bits)
         elif cid == b"data":
             data = body
@@ -126,9 +138,6 @@ def load_wav(path) -> AudioClip:
         raise ParseError("fmt chunk declares zero channels")
     if rate == 0:
         raise ParseError("fmt chunk declares sample rate 0")
-    if tag not in (_FMT_PCM, _FMT_FLOAT):
-        raise UnsupportedFormat(f"compressed or unknown codec (format tag {tag})")
-
     frames = _decode_samples(data, tag, bits, n_channels)
     if frames.shape[0] == 0:
         raise ParseError("empty data chunk")

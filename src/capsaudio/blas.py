@@ -1,8 +1,8 @@
-"""OpenBLAS's thread count, read and set at run time through ctypes.
+"""OpenBLAS's build string and thread count, read and set through ctypes.
 
 The library is the one numpy loaded, found in /proc/self/maps. With any
-other BLAS, or where that file is unreadable, threads() returns None and
-set_threads and one_thread change nothing.
+other BLAS, or where that file is unreadable, config() and threads() return
+None and set_threads and one_thread change nothing.
 """
 
 from __future__ import annotations
@@ -13,15 +13,17 @@ import functools
 
 import numpy  # noqa: F401  (loads the BLAS that _api looks for)
 
-# (get, set) symbol pairs: scipy-openblas's 64-bit build, then plain OpenBLAS.
-_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-            ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-            ("openblas_get_num_threads", "openblas_set_num_threads"))
+# (get, set, config) symbols: scipy-openblas's 64-bit build, then plain OpenBLAS.
+_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
+             "scipy_openblas_get_config64_"),
+            ("openblas_get_num_threads64_", "openblas_set_num_threads64_",
+             "openblas_get_config64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads", "openblas_get_config"))
 
 
 @functools.cache
 def _api():
-    """The loaded OpenBLAS's (get, set) thread-count functions, or None."""
+    """The loaded OpenBLAS's (get, set) thread-count and config functions, or None."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -32,12 +34,13 @@ def _api():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        for names in _SYMBOLS:
+            if all(hasattr(lib, name) for name in names):
+                get, set_, config_ = (getattr(lib, name) for name in names)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+                config_.argtypes, config_.restype = [], ctypes.c_char_p
+                return get, set_, config_
     return None
 
 
@@ -45,6 +48,13 @@ def threads() -> int | None:
     """OpenBLAS's current thread count, or None with an unknown BLAS."""
     api = _api()
     return None if api is None else api[0]()
+
+
+def config() -> str | None:
+    """OpenBLAS's build string, which names its version and the CPU kernels
+    it picked at run time, or None with an unknown BLAS."""
+    api = _api()
+    return None if api is None else api[2]().decode()
 
 
 def set_threads(n: int) -> None:

@@ -167,9 +167,6 @@ class Decoder(Module):
         self.fc1 = Dense(rng, n_classes * caps_dim, hidden[0])
         self.fc2 = Dense(rng, hidden[0], hidden[1])
         self.out = Dense(rng, hidden[1], out_dim)
-        self.n_classes = n_classes
-        self.caps_dim = caps_dim
-        self.out_dim = out_dim
 
 
 def decode_reconstruct(caps: Tensor, targets: np.ndarray, decoder: Decoder, x: Tensor,
@@ -178,16 +175,19 @@ def decode_reconstruct(caps: Tensor, targets: np.ndarray, decoder: Decoder, x: T
     [B, frames, dims], and weight times its mean absolute error.
 
     One "decoder" op over caps, the decoder's six parameters and x: relu,
-    relu and sigmoid dense layers on the target-masked capsules.
+    relu and sigmoid dense layers on the target-masked capsules. B, C and D
+    come from caps; targets are [B, C], and the weights give the rest.
     """
-    B = caps.data.shape[0]
-    C, D = decoder.n_classes, decoder.caps_dim
-    if caps.data.shape != (B, C, D):
-        raise ShapeError(f"decoder got capsules {caps.shape}")
+    if caps.data.ndim != 3 or caps.shape[1] * caps.shape[2] != decoder.fc1.W.shape[0]:
+        raise ShapeError(f"decoder got capsules {caps.shape} for fc1.W {decoder.fc1.W.shape}")
+    B, C, D = caps.shape
+    mask = np.asarray(targets, dtype=np.float64)
+    if mask.shape != (B, C):
+        raise ShapeError(f"decoder got targets {mask.shape} for capsules {caps.shape}")
     target = x.data.reshape(B, -1)
-    if target.shape != (B, decoder.out_dim):
-        raise ShapeError(f"decoder output {(B, decoder.out_dim)} vs target {target.shape}")
-    mask = np.asarray(targets, dtype=np.float64).reshape(B, C, 1)
+    if target.shape[1] != decoder.out.W.shape[1]:
+        raise ShapeError(f"decoder target {target.shape} vs out.W {decoder.out.W.shape}")
+    mask = mask.reshape(B, C, 1)
     dense = (decoder.fc1, decoder.fc2, decoder.out)
     h = (caps.data * mask).reshape(B, C * D)
     ins, zs = [], []  # each dense layer's input and pre-activation

@@ -53,14 +53,6 @@ class FeatureConfig:
             n *= 2
         return n
 
-    @property
-    def n_static(self) -> int:
-        return self.n_coeffs + 1  # + log energy
-
-    @property
-    def n_dims(self) -> int:
-        return 3 * self.n_static  # static + delta + delta-delta
-
 
 def n_frames_for(n_samples: int, cfg: FeatureConfig) -> int:
     """Closed-form frame count; requires n_samples >= frame_len."""

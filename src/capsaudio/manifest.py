@@ -34,10 +34,6 @@ class DatasetManifest:
         """The sorted union of the entries' labels."""
         return sorted(set().union(*(e.labels for e in self.entries)))
 
-    @property
-    def is_single_label(self) -> bool:
-        return all(len(e.labels) == 1 for e in self.entries)
-
 
 def load_manifest(path, split: str) -> DatasetManifest:
     entries = []
@@ -115,6 +111,11 @@ def targets_for(manifest: DatasetManifest, class_names: list[str]) -> np.ndarray
     return y
 
 
+def single_label(Y: np.ndarray) -> bool:
+    """Whether every row of multi-hot targets Y has exactly one label."""
+    return bool(np.all(Y.sum(axis=1) == 1))
+
+
 def synth_multilabel(src: DatasetManifest, root: str, out_dir: str,
                      seed: int, n_pairs: int | None = None) -> DatasetManifest:
     """Concatenate random pairs of single-label clips into a multi-label set.
@@ -123,7 +124,7 @@ def synth_multilabel(src: DatasetManifest, root: str, out_dir: str,
     split; its label set is the union of the two source labels. Deterministic
     under seed. New WAVs are written below out_dir.
     """
-    if not src.is_single_label:
+    if not single_label(targets_for(src, src.class_names)):
         raise ParseError("synth_multilabel expects a single-label source manifest")
     if len(src.entries) < 2:
         raise InsufficientData("need at least 2 source entries to form pairs")

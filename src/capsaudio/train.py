@@ -19,7 +19,7 @@ from .config import RunConfig, config_to_text, save_config, validate
 from .errors import (ConfigError, DivergenceFault, FormatError, InsufficientData,
                      NumericsFault, ShapeError)
 from .features import ScalerParams, apply_scaler, fit_scaler
-from .manifest import load_manifest, materialize, targets_for
+from .manifest import load_manifest, materialize, single_label, targets_for
 from .models import build_model
 from .optim import Adam
 
@@ -260,7 +260,7 @@ def load_trained(path) -> TrainedModel:
 def check_labels(mode: str, Y: np.ndarray) -> None:
     """mode=single scores one label per entry; targets Y with a row of any
     other count raise ConfigError."""
-    if mode == "single" and not np.all(Y.sum(axis=1) == 1):
+    if mode == "single" and not single_label(Y):
         raise ConfigError("mode=single requires exactly one label per entry")
 
 

@@ -16,6 +16,19 @@ def wav_bytes(data, fmt=1, channels=1, rate=16000, bits=16):
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
+def extensible_wav_bytes(data, subformat=1, bits=16, ext_len=22):
+    """Mono 16 kHz WAVE_FORMAT_EXTENSIBLE (tag 0xFFFE): the plain fmt fields,
+    then cbSize 22, valid bits, channel mask and the sub-format GUID, cut to
+    16 + 2 + ext_len bytes."""
+    guid = struct.pack("<I", subformat) + bytes.fromhex("000010008000" "00aa00389b71")
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 16000 * bits // 8, bits // 8, bits,
+                      22, bits, 0x4) + guid
+    fmt = fmt[:18 + ext_len]
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 def write(tmp_path, raw, name="x.wav"):
     path = tmp_path / name
     path.write_bytes(raw)
@@ -74,6 +87,28 @@ def test_compressed_codec_rejected(tmp_path):
 def test_unsupported_bit_depth(tmp_path):
     raw = wav_bytes(b"\x00" * 8, fmt=1, bits=64)
     with pytest.raises(UnsupportedFormat):
+        load_wav(write(tmp_path, raw))
+
+
+def test_extensible_pcm_and_float_match_their_plain_twins(tmp_path):
+    pcm = struct.pack("<4h", 0, 16384, -16384, 32767)
+    f32 = struct.pack("<3f", 0.25, -0.5, 1.0)
+    for data, tag, bits in ((pcm, 1, 16), (f32, 3, 32)):
+        plain = load_wav(write(tmp_path, wav_bytes(data, fmt=tag, bits=bits), "plain.wav"))
+        ext = load_wav(write(tmp_path, extensible_wav_bytes(data, tag, bits=bits), "ext.wav"))
+        np.testing.assert_array_equal(ext.samples, plain.samples)
+        assert ext.sample_rate == plain.sample_rate
+
+
+def test_extensible_unknown_subformat_is_named(tmp_path):
+    raw = extensible_wav_bytes(b"\x00\x00", subformat=2)  # ADPCM
+    with pytest.raises(UnsupportedFormat, match="00000002-0000-0010-8000-00aa00389b71"):
+        load_wav(write(tmp_path, raw))
+
+
+def test_extensible_short_extension(tmp_path):
+    raw = extensible_wav_bytes(b"\x00\x00", ext_len=8)  # no sub-format GUID
+    with pytest.raises(ParseError, match="26 of 40 bytes"):
         load_wav(write(tmp_path, raw))
 
 

@@ -317,6 +317,20 @@ def test_decode_reconstruct_loss(rng):
         decode_reconstruct(Tensor(caps), targets, dec, Tensor(rng.uniform(size=(2, 7))))
 
 
+def test_decoder_targets_must_match_capsule_classes(rng):
+    dec = Decoder(rng, 2, 3, out_dim=6, hidden=(4, 4))
+    caps, x = Tensor(rng.normal(size=(2, 2, 3))), Tensor(np.zeros((2, 6)))
+    with pytest.raises(ShapeError, match=r"targets \(2, 3\) for capsules \(2, 2, 3\)"):
+        decode_reconstruct(caps, np.eye(3)[:2], dec, x)
+
+
+def test_decoder_capsules_must_fill_fc1(rng):
+    dec = Decoder(rng, 2, 3, out_dim=6, hidden=(4, 4))
+    x = Tensor(np.zeros((2, 6)))
+    with pytest.raises(ShapeError, match=r"capsules \(2, 2, 4\) for fc1.W \(6, 4\)"):
+        decode_reconstruct(Tensor(rng.normal(size=(2, 2, 4))), np.eye(2), dec, x)
+
+
 def test_decoder_records_one_tape_node(rng):
     dec = Decoder(rng, 2, 3, out_dim=6, hidden=(4, 4))
     caps = Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)

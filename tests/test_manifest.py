@@ -10,7 +10,8 @@ from capsaudio.audio import AudioClip, load_wav, write_wav
 from capsaudio.errors import ConfigError, InsufficientData, ParseError
 from capsaudio.features import FeatureConfig
 from capsaudio.manifest import (DatasetManifest, load_manifest, materialize,
-                                save_manifest, synth_multilabel, targets_for)
+                                save_manifest, single_label, synth_multilabel,
+                                targets_for)
 
 
 def write_manifest(tmp_path, text, name="train.csv"):
@@ -24,14 +25,14 @@ def test_single_label_row(tmp_path):
     assert man.entries[0].path == "a.wav"
     assert man.entries[0].labels == {"digit_3"}
     assert man.class_names == ["digit_3"]
-    assert man.is_single_label
+    assert single_label(targets_for(man, man.class_names))
 
 
 def test_multi_label_row(tmp_path):
     man = load_manifest(write_manifest(tmp_path, "b.wav,speech|noise\n"), "train")
     assert man.entries[0].labels == {"speech", "noise"}
     assert man.class_names == ["noise", "speech"]
-    assert not man.is_single_label
+    assert not single_label(targets_for(man, man.class_names))
 
 
 def test_comments_and_blanks_skipped(tmp_path):
@@ -69,6 +70,12 @@ def test_targets_for(tmp_path):
     man = load_manifest(write_manifest(tmp_path, "a.wav,x|z\nb.wav,y\n"), "train")
     y = targets_for(man, ["x", "y", "z"])
     np.testing.assert_array_equal(y, [[1, 0, 1], [0, 1, 0]])
+
+
+def test_single_label_counts_labels_per_row():
+    assert single_label(np.eye(3))
+    assert not single_label(np.array([[1.0, 0.0], [1.0, 1.0]]))  # two labels
+    assert not single_label(np.array([[1.0, 0.0], [0.0, 0.0]]))  # none
 
 
 def test_materialize_missing_file(tmp_path):
@@ -209,5 +216,5 @@ def test_synth_multilabel_requires_single_label(tmp_path):
         entries=[e for e in make_wav_dataset(tmp_path).entries], split="train")
     man.entries[0] = type(man.entries[0])(man.entries[0].path,
                                           frozenset({"a", "b"}))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="expects a single-label source manifest"):
         synth_multilabel(man, str(tmp_path), str(tmp_path / "m"), seed=0)
