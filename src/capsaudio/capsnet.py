@@ -68,10 +68,6 @@ class CapsuleLayer(Module):
 
     def __init__(self, rng, n_primary: int, in_dim: int, n_classes: int,
                  caps_dim: int, routing_iters: int):
-        if caps_dim < 2:
-            raise ShapeError(f"caps_dim must be >= 2, got {caps_dim}")
-        if routing_iters < 1:
-            raise ShapeError(f"routing_iters must be >= 1, got {routing_iters}")
         self.W = Tensor(glorot(rng, (n_primary, n_classes, caps_dim, in_dim),
                                in_dim, caps_dim), requires_grad=True)
         self.n_classes = n_classes
@@ -225,6 +221,4 @@ def predict(lengths: np.ndarray, mode: str, threshold: float = 0.5) -> np.ndarra
         out = np.zeros_like(lengths)
         out[np.arange(lengths.shape[0]), lengths.argmax(axis=1)] = 1.0
         return out
-    if mode == "multi":
-        return (lengths > threshold).astype(np.float64)
-    raise ShapeError(f"unknown predict mode {mode!r}")
+    return (lengths > threshold).astype(np.float64)

@@ -5,6 +5,7 @@ Layout (all little-endian):
   u32 n_blocks | blocks
 
 Each block: u16 name_len | name UTF-8 | u8 ndim | u32 dim... | f64 payload.
+Block names are unique.
 Blocks cover trainable parameters, non-trainable state (prefix 'state.') and
 the fitted feature scaler ('scaler.min' / 'scaler.max'). Parameter and state
 names follow layers.Module: the dotted attribute path of each Tensor
@@ -96,6 +97,8 @@ def load_checkpoint(path) -> tuple[RunConfig, dict[str, np.ndarray]]:
             for _ in range(n_blocks):
                 (name_len,) = unpack("<H", "block name length")
                 name = read(name_len, "block name").decode("utf-8")
+                if name in blocks:
+                    raise FormatError(f"{path}: duplicate block {name!r}")
                 (ndim,) = unpack("<B", f"block {name!r}")
                 shape = unpack(f"<{ndim}I", f"block {name!r} shape")
                 nbytes = 8 * math.prod(shape)

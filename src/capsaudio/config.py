@@ -1,8 +1,11 @@
 """RunConfig: every open hyperparameter, pinned in one serializable record.
 
-Config files are UTF-8 `key=value` lines. Parsing is strict both ways:
-unknown keys and missing keys are ConfigErrors, so a saved artifact always
-carries the complete effective configuration.
+A RunConfig is frozen and checks itself when made (from a file, from
+overrides, or through RunConfig(...) or dataclasses.replace), so an
+invalid one never exists. Config files are UTF-8 `key=value` lines, a
+leading byte-order mark skipped. Parsing is strict both ways: unknown keys
+and missing keys are ConfigErrors, so a saved artifact always carries the
+complete effective configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ _MODELS = ("caps", "lstm", "att")
 _MODES = ("single", "multi")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     model: str = "caps"
     caps_dim: int = 16
@@ -35,6 +38,27 @@ class RunConfig:
     mode: str = "single"
     threshold: float = 0.5
 
+    def __post_init__(self) -> None:
+        checks = [
+            (self.model in _MODELS, f"model must be one of {_MODELS}, got {self.model!r}"),
+            (self.mode in _MODES, f"mode must be one of {_MODES}, got {self.mode!r}"),
+            (self.caps_dim >= 2, f"caps_dim must be >= 2, got {self.caps_dim}"),
+            (self.routing_iters >= 1, f"routing_iters must be >= 1, got {self.routing_iters}"),
+            (0.0 <= self.dropout < 1.0, f"dropout must be in [0, 1), got {self.dropout}"),
+            (0 < self.lr < math.inf, f"lr must be in (0, inf), got {self.lr}"),
+            (self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}"),
+            (self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
+            (self.T_fix >= 1, f"T_fix must be >= 1, got {self.T_fix}"),
+            (0 <= self.recon_weight < math.inf,
+             f"recon_weight must be in [0, inf), got {self.recon_weight}"),
+            (0 < self.lambda_ < math.inf, f"lambda must be in (0, inf), got {self.lambda_}"),
+            (self.hidden_size >= 1, f"hidden_size must be >= 1, got {self.hidden_size}"),
+            (0.0 < self.threshold < 1.0, f"threshold must be in (0, 1), got {self.threshold}"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
+
 
 def _key_of(field_name: str) -> str:
     return "lambda" if field_name == "lambda_" else field_name
@@ -43,48 +67,37 @@ def _key_of(field_name: str) -> str:
 _FIELDS = {(_key_of(f.name)): f for f in fields(RunConfig)}
 
 
-def validate(cfg: RunConfig) -> None:
-    checks = [
-        (cfg.model in _MODELS, f"model must be one of {_MODELS}, got {cfg.model!r}"),
-        (cfg.mode in _MODES, f"mode must be one of {_MODES}, got {cfg.mode!r}"),
-        (cfg.caps_dim >= 2, f"caps_dim must be >= 2, got {cfg.caps_dim}"),
-        (cfg.routing_iters >= 1, f"routing_iters must be >= 1, got {cfg.routing_iters}"),
-        (0.0 <= cfg.dropout < 1.0, f"dropout must be in [0, 1), got {cfg.dropout}"),
-        (0 < cfg.lr < math.inf, f"lr must be in (0, inf), got {cfg.lr}"),
-        (cfg.batch_size >= 1, f"batch_size must be >= 1, got {cfg.batch_size}"),
-        (cfg.epochs >= 0, f"epochs must be >= 0, got {cfg.epochs}"),
-        (cfg.T_fix >= 1, f"T_fix must be >= 1, got {cfg.T_fix}"),
-        (0 <= cfg.recon_weight < math.inf,
-         f"recon_weight must be in [0, inf), got {cfg.recon_weight}"),
-        (0 < cfg.lambda_ < math.inf, f"lambda must be in (0, inf), got {cfg.lambda_}"),
-        (cfg.hidden_size >= 1, f"hidden_size must be >= 1, got {cfg.hidden_size}"),
-        (0.0 < cfg.threshold < 1.0, f"threshold must be in (0, 1), got {cfg.threshold}"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)
-
-
-def _parse_value(key: str, raw: str):
-    f = _FIELDS[key]
-    raw = raw.strip()
-    if f.type == "int":
+def _parse_item(item: str, where: str) -> tuple[str, object]:
+    """The key and typed value of one `key=value` item; a malformed item or
+    an unknown key raises ConfigError prefixed with where."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key=value, got {item!r}")
+    key, raw = item.split("=", 1)
+    key, raw = key.strip(), raw.strip()
+    if key not in _FIELDS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    kind = _FIELDS[key].type
+    if kind == "int":
         try:
-            return int(raw)
+            return key, int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if f.type == "float":
+    if kind == "float":
         try:
-            return float(raw)
+            return key, float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if f.type == "bool":
+    if kind == "bool":
         if raw.lower() in ("true", "1", "yes"):
-            return True
+            return key, True
         if raw.lower() in ("false", "0", "no"):
-            return False
+            return key, False
         raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-    return raw
+    return key, raw
+
+
+def _by_field(items: dict[str, object]) -> dict[str, object]:
+    return {_FIELDS[key].name: value for key, value in items.items()}
 
 
 def config_to_text(cfg: RunConfig) -> str:
@@ -105,25 +118,18 @@ def config_from_text(text: str) -> RunConfig:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        key, value = _parse_item(line, f"line {lineno}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen[key] = _parse_value(key, raw)
+        seen[key] = value
     missing = set(_FIELDS) - set(seen)
     if missing:
         raise ConfigError(f"missing keys: {', '.join(sorted(missing))}")
-    cfg = RunConfig(**{_FIELDS[k].name: v for k, v in seen.items()})
-    validate(cfg)
-    return cfg
+    return RunConfig(**_by_field(seen))
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return config_from_text(fh.read())
 
 
@@ -132,15 +138,6 @@ def save_config(path, cfg: RunConfig) -> None:
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
-    """Apply `key=value` strings on top of a loaded config."""
-    out = replace(cfg)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(out, _FIELDS[key].name, _parse_value(key, raw))
-    validate(out)
-    return out
+    """cfg with `key=value` strings applied in order; a repeated key wins last."""
+    return replace(cfg, **_by_field(dict(_parse_item(item, "override")
+                                         for item in overrides)))

@@ -194,8 +194,6 @@ class BiLSTM(Module):
 def dropout(x: Tensor, rate: float, training: bool,
             rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero with probability rate, scale survivors."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:

@@ -1,8 +1,9 @@
 """Dataset manifests: CSV listing of clips with one or more labels.
 
-Format: one row per clip, `relative/path.wav,label1|label2`, UTF-8, `#`
-comment lines ignored. A manifest file describes a single split; the split
-name is supplied by the caller (conventionally train.csv / test.csv).
+Format: one row per clip, `relative/path.wav,label1|label2`, UTF-8 (a
+leading byte-order mark is skipped), `#` comment lines ignored. A manifest
+file describes a single split; the split name is supplied by the caller
+(conventionally train.csv / test.csv).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class DatasetManifest:
 
 def load_manifest(path, split: str) -> DatasetManifest:
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -156,6 +156,4 @@ def build_model(cfg, n_dims: int, n_classes: int, rng):
     """
     if cfg.model == "caps":
         return CapsModel(rng, cfg, n_dims, n_classes)
-    if cfg.model in ("lstm", "att"):
-        return RecurrentBaseline(rng, cfg, n_dims, n_classes)
-    raise ShapeError(f"unknown model {cfg.model!r}")
+    return RecurrentBaseline(rng, cfg, n_dims, n_classes)

@@ -15,7 +15,7 @@ from .atomic import atomic_write, write_text
 from .autodiff import Graph, Tensor
 from .capsnet import predict
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_to_text, save_config, validate
+from .config import RunConfig, config_to_text, save_config
 from .errors import (ConfigError, DivergenceFault, FormatError, InsufficientData,
                      NumericsFault, ShapeError)
 from .features import ScalerParams, apply_scaler, fit_scaler
@@ -274,7 +274,6 @@ def evaluate(trained: TrainedModel, ds: ArrayDataset) -> tuple[float, np.ndarray
 def train(cfg: RunConfig, train_set: ArrayDataset,
           test_set: ArrayDataset) -> tuple[TrainedModel, Metrics]:
     """Train per cfg and return the best-test-epoch model plus metrics."""
-    validate(cfg)
     if len(train_set) == 0 or len(test_set) == 0:
         raise InsufficientData("empty train or test split")
     if train_set.X.shape[1] != cfg.T_fix:

@@ -193,13 +193,6 @@ def test_route_shape_error(rng):
         layer(Tensor(np.zeros((1, 5, 3))))
 
 
-def test_caps_layer_param_validation(rng):
-    with pytest.raises(ShapeError):
-        CapsuleLayer(rng, 4, 3, 2, caps_dim=1, routing_iters=1)
-    with pytest.raises(ShapeError):
-        CapsuleLayer(rng, 4, 3, 2, caps_dim=2, routing_iters=0)
-
-
 # --- length layer -----------------------------------------------------------
 
 def test_length_zero_capsule():

@@ -144,6 +144,20 @@ def test_payload_cut_mid_block(tmp_path):
         load_checkpoint(path)
 
 
+def test_repeated_block_name_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "m.cpsn"
+    x_block = struct.pack("<H1sBI", 1, b"x", 1, 2)  # block "x" of shape (2,)
+    path.write_bytes(_header(2) + x_block + struct.pack("<2d", 1.0, 1.0)
+                     + x_block + struct.pack("<2d", 2.0, 2.0))
+    allocated = []
+    real_empty = np.empty
+    monkeypatch.setattr(checkpoint.np, "empty",
+                        lambda *a, **k: allocated.append(a) or real_empty(*a, **k))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: duplicate block 'x'$"):
+        load_checkpoint(path)
+    assert len(allocated) == 1
+
+
 @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 8, b"CPSN"])
 def test_trailing_bytes_after_last_block(tmp_path, extra):
     path = tmp_path / "m.cpsn"

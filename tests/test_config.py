@@ -1,9 +1,10 @@
 import os
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from capsaudio.config import (RunConfig, apply_overrides, config_from_text,
-                              config_to_text, load_config, save_config, validate)
+                              config_to_text, load_config, save_config)
 from capsaudio.errors import ConfigError
 
 
@@ -59,9 +60,20 @@ def test_bad_value_types():
     ("lr", float("inf")), ("recon_weight", float("inf")), ("lambda_", float("inf")),
 ])
 def test_validation_bounds(field, value):
-    cfg = RunConfig(**{field: value})
     with pytest.raises(ConfigError):
-        validate(cfg)
+        RunConfig(**{field: value})
+
+
+def test_config_is_frozen():
+    cfg = RunConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.dropout = 2.0
+    assert cfg == RunConfig()
+
+
+def test_replace_checks_the_new_config():
+    with pytest.raises(ConfigError, match=r"dropout must be in \[0, 1\), got 2.0"):
+        replace(RunConfig(), dropout=2.0)
 
 
 def test_overrides():
@@ -74,15 +86,27 @@ def test_overrides():
 
 
 def test_override_unknown_key():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^override: unknown key 'nope'$"):
         apply_overrides(RunConfig(), ["nope=1"])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match="^override: expected key=value, got 'no_equals_sign'$"):
         apply_overrides(RunConfig(), ["no_equals_sign"])
+
+
+def test_repeated_override_wins_last():
+    cfg = apply_overrides(RunConfig(), ["seed=1", "routing_iters=5", " seed = 7 "])
+    assert cfg == replace(RunConfig(), seed=7, routing_iters=5)
 
 
 def test_override_validates_result():
     with pytest.raises(ConfigError):
         apply_overrides(RunConfig(), ["dropout=2.0"])
+
+
+def test_config_file_with_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + config_to_text(RunConfig(seed=4)).encode("utf-8"))
+    assert load_config(path) == RunConfig(seed=4)
 
 
 def test_comments_ignored():

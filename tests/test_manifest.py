@@ -35,6 +35,13 @@ def test_multi_label_row(tmp_path):
     assert not single_label(targets_for(man, man.class_names))
 
 
+def test_manifest_with_byte_order_mark(tmp_path):
+    path = tmp_path / "train.csv"
+    path.write_bytes(b"\xef\xbb\xbfa.wav,x\nb.wav,y\n")
+    man = load_manifest(path, "train")
+    assert [e.path for e in man.entries] == ["a.wav", "b.wav"]
+
+
 def test_comments_and_blanks_skipped(tmp_path):
     man = load_manifest(
         write_manifest(tmp_path, "# header\n\na.wav,x\n# more\nb.wav,y\n"), "test")
