@@ -166,9 +166,9 @@ class Decoder(Module):
 
 
 def decode_reconstruct(caps: Tensor, targets: np.ndarray, decoder: Decoder, x: Tensor,
-                       weight: float = 1.0) -> tuple[np.ndarray, Tensor]:
-    """Masked reconstruction [B, frames * dims] of the scaled input x
-    [B, frames, dims], and weight times its mean absolute error.
+                       weight: float = 1.0) -> Tensor:
+    """weight times the mean absolute error of the masked reconstruction
+    [B, frames * dims] of the scaled input x [B, frames, dims].
 
     One "decoder" op over caps, the decoder's six parameters and x: relu,
     relu and sigmoid dense layers on the target-masked capsules. B, C and D
@@ -208,8 +208,7 @@ def decode_reconstruct(caps: Tensor, targets: np.ndarray, decoder: Decoder, x: T
         return (g.reshape(B, C, D) * mask, *grads, dx)
 
     loss = np.abs(diff).mean() * weight
-    return recon, ad.apply_op("decoder", (caps, *decoder.params().values(), x), loss,
-                              backward)
+    return ad.apply_op("decoder", (caps, *decoder.params().values(), x), loss, backward)
 
 
 def predict(lengths: np.ndarray, mode: str, threshold: float = 0.5) -> np.ndarray:

@@ -12,6 +12,13 @@ names follow layers.Module: the dotted attribute path of each Tensor
 (parameter) or ndarray (state) attribute, in assignment order, e.g.
 'lstm1.fwd.Wx' and 'state.bn.running_mean'. Round-trips are bit-exact.
 
+A trained model's checkpoint (train.TrainedModel.save) holds what inference
+reads: batch norm, both BiLSTMs, 'caps.W' or the baseline head ('head.',
+and 'att.' for model=att), the batch norm state and the scaler. It is not
+a training state: it holds no Adam moments and no decoder, whose loss only
+training reads. Checkpoints written before the decoder was left out hold
+'decoder.' blocks; they load, and those blocks are ignored.
+
 Both directions stream block by block and copy each payload once.
 save_checkpoint writes a block's header and then the array's own buffer.
 load_checkpoint reads the header fields in order from the open file and

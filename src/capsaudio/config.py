@@ -68,8 +68,8 @@ _FIELDS = {(_key_of(f.name)): f for f in fields(RunConfig)}
 
 
 def _parse_item(item: str, where: str) -> tuple[str, object]:
-    """The key and typed value of one `key=value` item; a malformed item or
-    an unknown key raises ConfigError prefixed with where."""
+    """The key and typed value of one `key=value` item; a malformed item, an
+    unknown key or a bad value raises ConfigError prefixed with where."""
     if "=" not in item:
         raise ConfigError(f"{where}: expected key=value, got {item!r}")
     key, raw = item.split("=", 1)
@@ -81,18 +81,18 @@ def _parse_item(item: str, where: str) -> tuple[str, object]:
         try:
             return key, int(raw)
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+            raise ConfigError(f"{where}: {key}: expected an integer, got {raw!r}") from None
     if kind == "float":
         try:
             return key, float(raw)
         except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+            raise ConfigError(f"{where}: {key}: expected a number, got {raw!r}") from None
     if kind == "bool":
         if raw.lower() in ("true", "1", "yes"):
             return key, True
         if raw.lower() in ("false", "0", "no"):
             return key, False
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}")
+        raise ConfigError(f"{where}: {key}: expected true/false, got {raw!r}")
     return key, raw
 
 

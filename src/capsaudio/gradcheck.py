@@ -119,7 +119,7 @@ def _decoder_mae(net, caps):
     # The decoder output is a sigmoid in (0, 1), so a target of 2 keeps
     # |recon - target| away from its kink.
     return decode_reconstruct(caps, np.eye(2), net, Tensor(np.full((2, 5, 1), 2.0)),
-                              weight=0.7)[1]
+                              weight=0.7)
 
 
 # --- the bespoke builders: each draws something per trial -------------------

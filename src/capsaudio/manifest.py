@@ -1,9 +1,12 @@
 """Dataset manifests: CSV listing of clips with one or more labels.
 
 Format: one row per clip, `relative/path.wav,label1|label2`, UTF-8 (a
-leading byte-order mark is skipped), `#` comment lines ignored. A manifest
-file describes a single split; the split name is supplied by the caller
-(conventionally train.csv / test.csv).
+leading byte-order mark is skipped), `#` comment lines ignored. A clip
+path is relative and stays inside the data directory (no leading `..`
+once normalized), because the feature cache and `transfer` mirror it
+below their own directories. A manifest file describes a single split;
+the split name is supplied by the caller (conventionally train.csv /
+test.csv).
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ def load_manifest(path, split: str) -> DatasetManifest:
             rel, label_field = parts[0].strip(), parts[1].strip()
             if not rel or not label_field:
                 raise ParseError(f"{path}:{lineno}: empty path or label field")
+            if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
+                raise ParseError(f"{path}:{lineno}: clip path must be relative and "
+                                 f"inside the data directory")
             labels = frozenset(l.strip() for l in label_field.split("|"))
             if any(not l for l in labels):
                 raise ParseError(f"{path}:{lineno}: empty label")

@@ -57,7 +57,8 @@ class CapsModel(Encoder):
         self.caps = CapsuleLayer(rng, cfg.T_fix, 2 * cfg.hidden_size, n_classes,
                                  cfg.caps_dim, cfg.routing_iters)
         self.decoder = (Decoder(rng, n_classes, cfg.caps_dim, cfg.T_fix * n_dims,
-                                decoder_hidden) if cfg.use_decoder else None)
+                                decoder_hidden)
+                        if cfg.use_decoder and rng is not None else None)
 
     def forward(self, x, training: bool, rng,
                 targets: np.ndarray | None = None) -> ForwardOutput:
@@ -73,9 +74,8 @@ class CapsModel(Encoder):
         if targets is not None:
             loss = margin_loss(lengths, targets, self.cfg.lambda_)
             if self.decoder is not None:
-                _, recon_loss = decode_reconstruct(v, targets, self.decoder, x,
-                                                   self.cfg.recon_weight)
-                loss = ad.add(loss, recon_loss)
+                loss = ad.add(loss, decode_reconstruct(v, targets, self.decoder, x,
+                                                       self.cfg.recon_weight))
         return ForwardOutput(scores=lengths, loss=loss, caps=v)
 
 
@@ -150,9 +150,10 @@ def sigmoid_xent(logits: Tensor, targets: np.ndarray | None):
 def build_model(cfg, n_dims: int, n_classes: int, rng):
     """Construct the architecture named by cfg.model.
 
-    rng=None builds placeholders: nothing is drawn, and every randomly
-    initialised weight is a read-only zero view that holds no memory, for
-    train.load_blocks to replace from a checkpoint.
+    rng=None builds the inference model as placeholders: nothing is drawn,
+    every randomly initialised weight is a read-only zero view that holds no
+    memory, for train.load_blocks to replace from a checkpoint, and the caps
+    model gets no decoder, whose loss only training reads.
     """
     if cfg.model == "caps":
         return CapsModel(rng, cfg, n_dims, n_classes)

@@ -201,7 +201,11 @@ class TrainedModel:
         return model_inputs(mats, self.scaler, self.cfg.T_fix)
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.cfg, model_blocks(self.model, self.scaler))
+        """Write the blocks inference reads, the blocks load_trained checks:
+        model_blocks without the training-only 'decoder.' blocks."""
+        save_checkpoint(path, self.cfg, {
+            name: arr for name, arr in model_blocks(self.model, self.scaler).items()
+            if not name.startswith("decoder.")})
 
 
 def model_blocks(model, scaler: ScalerParams | None = None) -> dict[str, np.ndarray]:
@@ -228,11 +232,12 @@ def load_trained(path) -> TrainedModel:
     """Rebuild a TrainedModel from a checkpoint; shapes come from the blocks.
 
     The model is built with rng=None (read-only placeholders, no random
-    draws) and load_blocks then replaces every parameter and state array
-    with the checkpoint's; a missing or mis-shaped block raises FormatError
-    naming path and block first, so no placeholder is returned. The scaler
-    blocks, 'scaler.min' and 'scaler.max' of shape [n_dims], come both or
-    neither.
+    draws, no decoder) and load_blocks then replaces every parameter and
+    state array with the checkpoint's; a missing or mis-shaped block raises
+    FormatError naming path and block first, so no placeholder is returned.
+    Other blocks, such as the 'decoder.' blocks older checkpoints hold, are
+    ignored. The scaler blocks, 'scaler.min' and 'scaler.max' of shape
+    [n_dims], come both or neither.
     """
     cfg, blocks = load_checkpoint(path)
     sizes = (("bn.gamma", 0), ("caps.W", 1) if cfg.model == "caps" else ("head.b", 0))

@@ -259,32 +259,41 @@ def test_margin_shape_error():
 
 # --- decoder ----------------------------------------------------------------
 
+def reconstruct(dec, caps, targets):
+    """The decoder's reconstruction [B, out_dim] of the target-masked capsules
+    [B, C, D], in decode_reconstruct's arithmetic: relu, relu, sigmoid."""
+    B, C, D = caps.shape
+    h = (caps * np.asarray(targets, dtype=np.float64).reshape(B, C, 1)).reshape(B, C * D)
+    for k, layer in enumerate((dec.fc1, dec.fc2, dec.out)):
+        z = h @ layer.W.data + layer.b.data
+        h = np.maximum(z, 0.0) if k < 2 else 1.0 / (1.0 + np.exp(-z))
+    return h
+
+
 def test_mae_identical_is_zero(rng):
     dec = Decoder(rng, n_classes=2, caps_dim=3, out_dim=5, hidden=(4, 6))
-    caps, targets = Tensor(rng.normal(size=(2, 2, 3))), np.eye(2)
-    recon, _ = decode_reconstruct(caps, targets, dec, Tensor(np.zeros((2, 5))))
-    _, loss = decode_reconstruct(caps, targets, dec, Tensor(recon.copy()))
+    caps, targets = rng.normal(size=(2, 2, 3)), np.eye(2)
+    loss = decode_reconstruct(Tensor(caps), targets, dec,
+                              Tensor(reconstruct(dec, caps, targets)))
     assert float(loss.data) == 0.0
 
 
 def test_mae_constant_offset(rng):
     dec = Decoder(rng, n_classes=2, caps_dim=3, out_dim=5, hidden=(4, 6))
-    caps, targets = Tensor(rng.normal(size=(2, 2, 3))), np.eye(2)
-    recon, _ = decode_reconstruct(caps, targets, dec, Tensor(np.zeros((2, 5))))
-    x = Tensor(recon + 0.1)
-    _, loss = decode_reconstruct(caps, targets, dec, x)
+    caps, targets = rng.normal(size=(2, 2, 3)), np.eye(2)
+    x = Tensor(reconstruct(dec, caps, targets) + 0.1)
+    loss = decode_reconstruct(Tensor(caps), targets, dec, x)
     assert float(loss.data) == pytest.approx(0.1, abs=1e-12)
-    _, weighted = decode_reconstruct(caps, targets, dec, x, weight=0.3)
+    weighted = decode_reconstruct(Tensor(caps), targets, dec, x, weight=0.3)
     assert float(weighted.data) == float(loss.data) * 0.3
 
 
 def test_decoder_masks_non_target_capsules(rng):
     dec = Decoder(rng, n_classes=3, caps_dim=2, out_dim=4, hidden=(5, 6))
     targets = np.array([[0.0, 1.0, 0.0]])
-    x = Tensor(np.zeros((1, 4)))
 
     def recon(caps):
-        return decode_reconstruct(Tensor(caps), targets, dec, x)[0]
+        return reconstruct(dec, caps, targets)
 
     caps_a = rng.normal(size=(1, 3, 2))
     caps_b = caps_a.copy()
@@ -295,6 +304,10 @@ def test_decoder_masks_non_target_capsules(rng):
     caps_c = caps_a.copy()
     caps_c[0, 1] += 0.5  # the target row must matter
     assert np.abs(recon(caps_c) - out_a).max() > 1e-9
+    # decode_reconstruct masks the same way: its loss against out_a is 0 exactly
+    x = Tensor(out_a)
+    assert [float(decode_reconstruct(Tensor(c), targets, dec, x).data) == 0.0
+            for c in (caps_a, caps_b, caps_c)] == [True, True, False]
 
 
 def test_decode_reconstruct_loss(rng):
@@ -302,8 +315,9 @@ def test_decode_reconstruct_loss(rng):
     caps = rng.normal(size=(2, 2, 3))
     targets = np.eye(2)
     x = rng.uniform(size=(2, 3, 2))  # the scaled input [batch, frames, dims]
-    recon, loss = decode_reconstruct(caps=Tensor(caps), targets=targets,
-                                     decoder=dec, x=Tensor(x))
+    loss = decode_reconstruct(caps=Tensor(caps), targets=targets, decoder=dec,
+                              x=Tensor(x))
+    recon = reconstruct(dec, caps, targets)
     assert recon.shape == (2, 6)
     assert float(loss.data) == pytest.approx(np.abs(recon - x.reshape(2, 6)).mean())
     with pytest.raises(ShapeError):
@@ -329,7 +343,7 @@ def test_decoder_records_one_tape_node(rng):
     caps = Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
     x = Tensor(rng.uniform(size=(2, 3, 2)))
     with Graph() as g:
-        _, loss = decode_reconstruct(caps, np.eye(2), dec, x, weight=0.1)
+        decode_reconstruct(caps, np.eye(2), dec, x, weight=0.1)
     assert [n.name for n in g.nodes] == ["decoder"]
     assert all(a is b for a, b in zip(g.nodes[0].inputs,
                                       [caps, *dec.params().values(), x]))

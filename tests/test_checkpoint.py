@@ -277,9 +277,11 @@ def test_placeholder_build_has_seeded_names_and_shapes(model, decoder):
     cfg = tiny_cfg(model=model, use_decoder=decoder)
     seeded = [build_model(cfg, 4, 2, np.random.default_rng(s)) for s in (0, 1)]
     placeholder = build_model(cfg, 4, 2, None)
-    assert ({n: t.shape for n, t in placeholder.params().items()}
-            == {n: t.shape for n, t in seeded[0].params().items()})
-    assert list(placeholder.params()) == list(seeded[0].params())
+    assert getattr(placeholder, "decoder", None) is None  # training-only
+    inference = {n: t.shape for n, t in seeded[0].params().items()
+                 if not n.startswith("decoder.")}
+    assert {n: t.shape for n, t in placeholder.params().items()} == inference
+    assert list(placeholder.params()) == list(inference)
     assert list(placeholder.state()) == list(seeded[0].state())
     for name, arr in placeholder.state().items():
         assert arr.tobytes() == seeded[0].state()[name].tobytes()
@@ -351,6 +353,27 @@ def test_load_trained_misshaped_block_raises(tmp_path, model, name, shape):
 def test_load_trained_scores_same_bits_as_trained(tmp_path, model, decoder):
     trained, path, ds = _trained_checkpoint(tmp_path, model, use_decoder=decoder)
     loaded = load_trained(path)
+    assert loaded.scores(ds.X).tobytes() == trained.scores(ds.X).tobytes()
+
+
+@pytest.mark.parametrize("model, decoder", [("caps", False), ("caps", True),
+                                            ("lstm", False), ("att", False)])
+def test_saved_blocks_are_the_blocks_load_trained_checks(tmp_path, model, decoder):
+    trained, path, _ = _trained_checkpoint(tmp_path, model, use_decoder=decoder)
+    _, saved = load_checkpoint(path)
+    checked = model_blocks(build_model(trained.cfg, 4, 2, None), trained.scaler)
+    assert list(saved) == list(checked)
+    live = model_blocks(trained.model, trained.scaler)
+    assert all(saved[name].tobytes() == live[name].tobytes() for name in saved)
+
+
+def test_checkpoint_with_decoder_blocks_loads_without_decoder(tmp_path):
+    trained, path, ds = _trained_checkpoint(tmp_path, "caps", use_decoder=True)
+    old = tmp_path / "with_decoder.cpsn"  # laid out as checkpoints that keep the decoder
+    save_checkpoint(old, trained.cfg, model_blocks(trained.model, trained.scaler))
+    assert any(name.startswith("decoder.") for name in load_checkpoint(old)[1])
+    loaded = load_trained(old)
+    assert loaded.model.decoder is None
     assert loaded.scores(ds.X).tobytes() == trained.scores(ds.X).tobytes()
 
 

@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from capsaudio.cli import dispatch
 from capsaudio.config import (RunConfig, apply_overrides, config_from_text,
                               config_to_text, load_config, save_config)
 from capsaudio.errors import ConfigError
@@ -50,6 +51,31 @@ def test_bad_value_types():
         config_from_text(base.replace("use_decoder=false", "use_decoder=maybe"))
     with pytest.raises(ConfigError):
         config_from_text(base.replace("lr=0.001", "lr=fast"))
+
+
+@pytest.mark.parametrize("source", ["file", "override"])
+@pytest.mark.parametrize("key,raw,expected", [
+    ("epochs", "five", "an integer"), ("lr", "fast", "a number"),
+    ("use_decoder", "maybe", "true/false"),
+])
+def test_bad_value_names_its_source(tmp_path, capsys, source, key, raw, expected):
+    lines = config_to_text(RunConfig()).splitlines()
+    path = tmp_path / "c.cfg"
+    if source == "file":
+        lineno = next(n for n, l in enumerate(lines, start=1) if l.startswith(f"{key}="))
+        lines[lineno - 1] = f"{key}={raw}"
+        where, overrides = f"line {lineno}", []
+    else:
+        where, overrides = "override", ["--set", f"{key}={raw}"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = f"{where}: {key}: expected {expected}, got {raw!r}"
+    with pytest.raises(ConfigError) as e:
+        apply_overrides(load_config(path), overrides[1:])
+    assert str(e.value) == message
+    code = dispatch(["train", "--config", str(path), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "run"), *overrides])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("field,value", [

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,6 +8,7 @@ import pytest
 
 from capsaudio import manifest
 from capsaudio.audio import AudioClip, load_wav, write_wav
+from capsaudio.cli import dispatch
 from capsaudio.errors import ConfigError, InsufficientData, ParseError
 from capsaudio.features import FeatureConfig
 from capsaudio.manifest import (DatasetManifest, load_manifest, materialize,
@@ -58,6 +60,22 @@ def test_empty_label_rejected(tmp_path):
         load_manifest(write_manifest(tmp_path, "a.wav,\n"), "train")
     with pytest.raises(ParseError):
         load_manifest(write_manifest(tmp_path, "a.wav,x||y\n"), "train")
+
+
+@pytest.mark.parametrize("outside", ["absolute", "../wavs/a.wav"])
+def test_clip_path_outside_data_dir_rejected(tmp_path, outside):
+    wavs, data, cache = tmp_path / "wavs", tmp_path / "data", tmp_path / "cache"
+    wavs.mkdir()
+    data.mkdir()
+    write_wav(wavs / "a.wav", tone(440))
+    rel = str(wavs / "a.wav") if outside == "absolute" else outside
+    path = write_manifest(data, f"# clips\n{rel},x\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:2: clip path must be "
+                                         rf"relative and inside the data directory$"):
+        load_manifest(path, "train")
+    write_manifest(data, f"{rel},x\n", name="test.csv")
+    assert dispatch(["features", "--data", str(data), "--out", str(cache)]) == 1
+    assert sorted(os.listdir(wavs)) == ["a.wav"] and not cache.exists()
 
 
 def test_empty_manifest_rejected(tmp_path):
