@@ -28,6 +28,8 @@ class AugmentSpec:
             raise ConfigError(f"unknown augmentation kind {self.kind!r}")
         if not self.levels or len(set(self.levels)) != len(self.levels):
             raise ConfigError("levels must be non-empty and distinct")
+        if not np.all(np.isfinite(self.levels)):
+            raise ConfigError(f"levels must be finite, got {self.levels}")
         if self.kind == "speed" and any(l <= 0 for l in self.levels):
             raise ConfigError("speed factors must be positive")
 

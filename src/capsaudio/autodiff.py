@@ -9,6 +9,10 @@ a Graph is active and some input requires a gradient; otherwise they are
 plain numpy computations, which keeps inference and finite-difference
 evaluation cheap.
 
+Gradients are read-only values. A tensor's .grad may be a view (a
+transpose, a broadcast) and may be the very array another tensor holds;
+backward, the optimizer and the gradient check only read gradients.
+
 Every op checks its output for NaN/Inf and raises NumericsFault on the
 first non-finite value; an op that saturates inside (tanh, sigmoid, relu,
 a division by an infinite variance) also checks the values it saturates.
@@ -65,13 +69,9 @@ class Graph:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(x) into .grad of every recorded tensor.
 
-        The first contribution to a tensor is kept as is when it is a
-        fresh array: writeable, C-contiguous float64 that owns its data, not
-        the node's own output gradient and handed to no other input of the
-        node. Any other first contribution (a read-only broadcast view, an
-        array handed to two inputs) is stored as a copy. Later
-        contributions are summed into a new array, so backward never writes
-        into an array a backward_fn returned.
+        A tensor's first gradient is kept as its op's backward_fn returned
+        it; later ones are summed into a new array. A gradient may be a
+        view, and two tensors may share one: nothing writes into a gradient.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -79,18 +79,9 @@ class Graph:
         for node in reversed(self.nodes):
             if node.out.grad is None:
                 continue  # not on any path to the loss
-            grads = node.backward_fn(node.out.grad)
-            for tensor, g in zip(node.inputs, grads):
-                if g is None or not tensor.requires_grad:
-                    continue
-                if tensor.grad is None:
-                    fresh = (isinstance(g, np.ndarray) and g.dtype == np.float64
-                             and g.flags.writeable and g.flags.c_contiguous
-                             and g.flags.owndata and g is not node.out.grad
-                             and sum(o is g for o in grads) == 1)
-                    tensor.grad = g if fresh else np.array(g, dtype=np.float64, order="C")
-                else:
-                    tensor.grad = tensor.grad + g
+            for tensor, g in zip(node.inputs, node.backward_fn(node.out.grad)):
+                if g is not None and tensor.requires_grad:
+                    tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
 def recording(inputs: tuple[Tensor, ...]) -> bool:

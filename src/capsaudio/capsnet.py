@@ -116,11 +116,8 @@ class CapsuleLayer(Module):
                     gb = gl if gb is None else gb + gl
             duhat = np.stack(left, axis=-1) @ np.stack(right, axis=-2)  # [B, C, P, D]
             duh = duhat.transpose(2, 0, 1, 3).reshape(P, B, C * D)
-            du = np.empty((B, P, I))  # du and dW owned, so Graph.backward keeps them
-            np.matmul(duh, Wm, out=du.transpose(1, 0, 2))
-            dW = np.empty((P, C, D, I))
-            np.matmul(duh.transpose(0, 2, 1), ut, out=dW.reshape(P, C * D, I))
-            return du, dW
+            return ((duh @ Wm).transpose(1, 0, 2),
+                    (duh.transpose(0, 2, 1) @ ut).reshape(P, C, D, I))
 
         return ad.apply_op("routing", (u, self.W), v, backward)
 

@@ -54,6 +54,7 @@ class RunConfig:
             (0 < self.lambda_ < math.inf, f"lambda must be in (0, inf), got {self.lambda_}"),
             (self.hidden_size >= 1, f"hidden_size must be >= 1, got {self.hidden_size}"),
             (0.0 < self.threshold < 1.0, f"threshold must be in (0, 1), got {self.threshold}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
         ]
         for ok, message in checks:
             if not ok:
@@ -130,7 +131,11 @@ def config_from_text(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     with open(path, encoding="utf-8-sig") as fh:
-        return config_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+    return config_from_text(text)
 
 
 def save_config(path, cfg: RunConfig) -> None:

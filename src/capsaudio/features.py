@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_write
-from .audio import AudioClip
+from .audio import TARGET_RATE, AudioClip
 from .errors import FormatError, InputTooShort, ShapeError
 
 LOG_FLOOR = 1e-10
@@ -30,7 +30,7 @@ LOG_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    sample_rate: int = 16000
+    sample_rate: int = TARGET_RATE
     frame_ms: float = 40.0
     hop_ms: float = 10.0
     n_coeffs: int = 19       # cepstral coefficients per frame (DCT rows 1..n)

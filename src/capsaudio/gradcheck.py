@@ -67,21 +67,12 @@ def weighted_sum(y: Tensor) -> Tensor:
     return ad.apply_op("weighted_sum", (y,), (y.data * w).sum(), lambda g: (g * w,))
 
 
-def _normal(rng, shape):
-    return rng.normal(size=shape)
-
-
-_N34 = (_normal, (3, 4))
-_N234 = (_normal, (2, 3, 4))
-
-
 # --- the two check builders: make(rng) -> (arrays, build) -------------------
 
-def _op(fn, *inputs):
-    """Check fn over inputs drawn from (sampler, shape) pairs."""
+def _op(fn, *shapes):
+    """Check fn over standard normal inputs of the given shapes."""
     def make(rng):
-        return ([sampler(rng, shape) for sampler, shape in inputs],
-                lambda ts: weighted_sum(fn(*ts)))
+        return [rng.normal(size=shape) for shape in shapes], lambda ts: weighted_sum(fn(*ts))
 
     return make
 
@@ -91,8 +82,8 @@ def _module(factory, x_shape, loss=lambda net, x: weighted_sum(net(x)), scale=0.
     def make(rng):
         params = factory().params()
         names = list(params)
-        arrays = [_normal(rng, x_shape)] + [rng.normal(scale=scale, size=params[n].shape)
-                                            for n in names]
+        arrays = [rng.normal(size=x_shape)] + [rng.normal(scale=scale, size=params[n].shape)
+                                               for n in names]
 
         def build(ts):
             net = factory()
@@ -150,6 +141,8 @@ def _make_margin(rng):
 
 
 def _make_full_model(rng):
+    """BN -> 2x BiLSTM -> capsules -> margin + MAE on a tiny instance (dropout
+    off); the decoder's target is the input."""
     targets = np.eye(2)[rng.integers(2, size=2)]
     cfg = RunConfig(caps_dim=2, routing_iters=2, use_decoder=True, hidden_size=2,
                     dropout=0.0, T_fix=4)
@@ -159,21 +152,21 @@ def _make_full_model(rng):
 
 
 CHECKS = {
-    "add": _op(ad.add, _N34, _N34),
+    "add": _op(ad.add, (3, 4), (3, 4)),
     "batch_norm": _make_batch_norm,
     "bilstm": _module(_seeded(BiLSTM, 2, 2), (2, 3, 2)),
     "dropout": _op(lambda t: dropout(t, 0.3, True, np.random.default_rng(WEIGHT_SEED)),
-                   _N234),
+                   (2, 3, 4)),
     "dense": _module(_seeded(Dense, 4, 3), (2, 4)),
     "attention": _module(_seeded(AttentionPool, 4, 3), (2, 3, 4)),
-    "mean_pool": _op(mean_pool, _N234),
+    "mean_pool": _op(mean_pool, (2, 3, 4)),
     "softmax_xent": _make_xent(softmax_xent, _one_hot),
     "sigmoid_xent": _make_xent(sigmoid_xent, lambda rng: 1.0 * (rng.random((3, 4)) < 0.5)),
-    "squash": _op(squash, _N234),
+    "squash": _op(squash, (2, 3, 4)),
     "routing_1": _routing(1),
     "routing_3": _routing(3),
     "routing_5": _routing(5),
-    "length": _op(length_layer, _N234),
+    "length": _op(length_layer, (2, 3, 4)),
     "margin_loss": _make_margin,
     "decoder_mae": _module(_seeded(Decoder, 2, 3, out_dim=5, hidden=(4, 6)), (2, 2, 3),
                            loss=_decoder_mae),
@@ -194,11 +187,8 @@ def check_op(name: str, trials: int = 100, seed: int = 0) -> float:
 
 
 def run_suite(trials: int = 100, seed: int = 0) -> dict[str, float]:
-    """Max relative error per op; iteration order is the registry order."""
-    return {name: check_op(name, trials, seed) for name in CHECKS}
-
-
-def full_model_check(trials: int = 3, seed: int = 0) -> float:
-    """End-to-end gradient check of BN -> 2x BiLSTM -> capsules -> margin+MAE
-    on a tiny instance (dropout off); the decoder's target is the input."""
-    return _worst(_make_full_model, trials, seed)
+    """Max relative error per op in registry order, then a "full_model" row:
+    the whole model checked end to end at min(3, trials) trials."""
+    results = {name: check_op(name, trials, seed) for name in CHECKS}
+    results["full_model"] = _worst(_make_full_model, min(3, trials), seed)
+    return results

@@ -184,9 +184,7 @@ class BiLSTM(Module):
                 kernels.lstm_backward(np.ascontiguousarray(gd), xd, d.Wx.data, d.Wh.data,
                                       *run)
                 for gd, xd, d, run in zip(gs, xs, dirs, runs)]
-            dx = np.empty(x.data.shape)  # owned [B, T, I], so Graph.backward keeps it
-            np.add(dxf, dxb[::-1], out=dx.transpose(1, 0, 2))
-            return (dx, *dwf, *dwb)
+            return ((dxf + dxb[::-1]).transpose(1, 0, 2), *dwf, *dwb)
 
         return ad.apply_op("lstm", inputs, out, backward if record else None)
 

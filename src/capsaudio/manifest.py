@@ -40,25 +40,29 @@ class DatasetManifest:
 
 
 def load_manifest(path, split: str) -> DatasetManifest:
-    entries = []
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'path,labels', got {line!r}")
-            rel, label_field = parts[0].strip(), parts[1].strip()
-            if not rel or not label_field:
-                raise ParseError(f"{path}:{lineno}: empty path or label field")
-            if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
-                raise ParseError(f"{path}:{lineno}: clip path must be relative and "
-                                 f"inside the data directory")
-            labels = frozenset(l.strip() for l in label_field.split("|"))
-            if any(not l for l in labels):
-                raise ParseError(f"{path}:{lineno}: empty label")
-            entries.append(ManifestEntry(rel, labels))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+    entries = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'path,labels', got {line!r}")
+        rel, label_field = parts[0].strip(), parts[1].strip()
+        if not rel or not label_field:
+            raise ParseError(f"{path}:{lineno}: empty path or label field")
+        if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
+            raise ParseError(f"{path}:{lineno}: clip path must be relative and "
+                             f"inside the data directory")
+        labels = frozenset(l.strip() for l in label_field.split("|"))
+        if any(not l for l in labels):
+            raise ParseError(f"{path}:{lineno}: empty label")
+        entries.append(ManifestEntry(rel, labels))
     if not entries:
         raise ParseError(f"{path}: manifest has no entries")
     return DatasetManifest(entries, split)

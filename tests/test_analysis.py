@@ -65,6 +65,9 @@ def test_augment_spec_validation():
         AugmentSpec("amplitude", (0.1, 0.1))
     with pytest.raises(ConfigError):
         AugmentSpec("pitch", (1.0,))
+    for kind, level in [("speed", float("nan")), ("amplitude", float("inf"))]:
+        with pytest.raises(ConfigError):
+            AugmentSpec(kind, (level,))
     with pytest.raises(ConfigError):
         augment(tone(), AugmentSpec("speed", (1.0,)), -2.0)
 

@@ -153,27 +153,6 @@ def test_module_check_perturbs_input_and_every_param(name, count):
     assert all(t.grad is not None and np.any(t.grad != 0.0) for t in tensors)
 
 
-def test_backward_add_gives_each_input_its_own_grad(rng):
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    with Graph() as g:
-        loss = weighted_sum(ad.add(a, b))  # add hands one array to both
-    g.backward(loss)
-    assert not np.shares_memory(a.grad, b.grad)
-    before = b.grad.copy()
-    a.grad += 1.0
-    np.testing.assert_array_equal(b.grad, before)
-
-
-def test_backward_grad_from_broadcast_view_is_owned(rng):
-    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    with Graph() as g:
-        loss = total(x)  # its backward returns a read-only broadcast view
-    g.backward(loss)
-    assert x.grad.flags.writeable and x.grad.flags.owndata
-    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
-
-
 def test_backward_never_writes_an_array_an_op_keeps(rng):
     held = rng.normal(size=(4, 2))
     before = held.copy()
@@ -187,34 +166,51 @@ def test_backward_never_writes_an_array_an_op_keeps(rng):
     np.testing.assert_array_equal(x.grad, before + 2.0)
 
 
-@pytest.mark.parametrize("backward", [lambda g: (g, 2.0 * g),      # hands on out.grad
-                                      lambda g: (2.0 * g,) * 2])  # one array, two inputs
-def test_backward_never_adopts_a_shared_array(rng, backward):
-    a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+def _central_difference(f, x, h=1e-6):
+    """d f(x) / dx of a scalar function f of the array x."""
+    out = np.empty_like(x)
+    for i in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[i] = h
+        out[i] = (f(x + step) - f(x - step)) / (2.0 * h)
+    return out
+
+
+def _assert_first_grads_kept(rng, loss_of):
+    """Each input of the first op holds as .grad the very array its
+    backward_fn returned, and x.grad matches central differences."""
+    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)  # [B, T or P, I]
     with Graph() as g:
-        out = ad.apply_op("pair", (a, b), a.data + b.data, backward)
-        loss = total(scale(out, 3.0))  # out.grad is a fresh array
+        loss = loss_of(x)
+    node = g.nodes[0]
+    returned = []
+    real = node.backward_fn
+    node.backward_fn = lambda gr: returned.append(real(gr)) or returned[-1]
     g.backward(loss)
-    grads = (a.grad, b.grad, out.grad)
-    assert not any(np.shares_memory(p, q) for i, p in enumerate(grads) for q in grads[i + 1:])
+    assert all(t.grad is r for t, r in zip(node.inputs, returned[0]))
+    expected = _central_difference(lambda d: float(loss_of(Tensor(d)).data), x.data)
+    np.testing.assert_allclose(x.grad, expected, rtol=1e-6, atol=1e-8)
+
+
+def _add_to(rng):
+    b = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    return lambda x: weighted_sum(ad.add(x, b))  # add hands one array to both
+
+
+@pytest.mark.parametrize("make", [
+    _add_to,
+    lambda rng: total,  # its backward returns a read-only broadcast view
+], ids=["add", "view"])
+def test_backward_keeps_first_grad_as_returned(rng, make):
+    _assert_first_grads_kept(rng, make(rng))
 
 
 @pytest.mark.parametrize("make", [lambda rng: BiLSTM(rng, 3, 2),
                                   lambda rng: CapsuleLayer(rng, 4, 3, 2, 2, 2)],
                          ids=["bilstm", "routing"])
 def test_lstm_and_routing_input_grads_are_adopted_uncopied(rng, make):
-    layer = make(rng)
-    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)  # [B, T or P, I]
-    with Graph() as g:
-        loss = weighted_sum(layer(x))
-    node = g.nodes[0]
-    returned = []
-    real = node.backward_fn
-    node.backward_fn = lambda gr: returned.append(real(gr)) or returned[-1]
-    g.backward(loss)
-    assert x.grad is returned[0][0]  # owned [B, ., I], so kept as returned
-    assert x.grad.shape == x.shape and x.grad.flags.c_contiguous
+    layer = make(rng)  # each returns its input gradient as a transposed view
+    _assert_first_grads_kept(rng, lambda x: weighted_sum(layer(x)))
 
 
 def test_backward_tensor_used_twice_accumulates(rng):

@@ -322,6 +322,40 @@ def test_file_error_is_one_error_line(case, tiny_data, tiny_cfg_file, tmp_path, 
     assert sorted(os.walk(tmp_path)) == before  # nothing created
 
 
+# Each case: argv with {tmp}, {data}, {cfg} and {ckpt} filled in, and the exit
+# code. Under {tmp}, "latin1" is a data directory whose train.csv is not UTF-8
+# and "latin1.cfg" a config file that is not.
+BAD_INPUTS = {
+    "negative-seed-override": (["train", "--config", "{cfg}", "--data", "{data}",
+                                "--out", "{tmp}/r", "--set", "seed=-1"], 3),
+    "negative-grid-seed": (["grid", "--config", "{cfg}", "--data", "{data}",
+                            "--out", "{tmp}/g", "--axis", "routing", "--seeds=-1"], 3),
+    "negative-synth-seed": (["synth-multilabel", "--data", "{data}", "--out", "{tmp}/m",
+                             "--seed", "-1"], 2),
+    "nan-speed-level": (["analyze", "--checkpoint", "{ckpt}", "--data", "{data}",
+                         "--kind", "speed", "--target-class", "digit_1",
+                         "--out", "{tmp}/s", "--levels", "nan"], 3),
+    "manifest-not-utf8": (["features", "--data", "{tmp}/latin1", "--out", "{tmp}/x"], 1),
+    "config-not-utf8": (["train", "--config", "{tmp}/latin1.cfg", "--data", "{data}",
+                         "--out", "{tmp}/r"], 3),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_is_one_error_line(case, run_dir, tiny_data, tiny_cfg_file, tmp_path,
+                                     capsys):
+    (tmp_path / "latin1").mkdir()
+    (tmp_path / "latin1" / "train.csv").write_bytes(b"caf\xe9.wav,digit_0\n")
+    (tmp_path / "latin1.cfg").write_bytes(b"# caf\xe9\nmodel=caps\n")
+    argv, expected = BAD_INPUTS[case]
+    fill = dict(tmp=tmp_path, data=tiny_data, cfg=tiny_cfg_file,
+                ckpt=os.path.join(run_dir, "checkpoint.cpsn"))
+    code = dispatch([a.format(**fill) for a in argv])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
 def _edit_blocks(edit):
     def rewrite(src, dst):
         cfg, blocks = load_checkpoint(src)

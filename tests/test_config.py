@@ -84,6 +84,7 @@ def test_bad_value_names_its_source(tmp_path, capsys, source, key, raw, expected
     ("epochs", -1), ("T_fix", 0), ("recon_weight", -0.5), ("lambda_", 0.0),
     ("hidden_size", 0), ("threshold", 0.0), ("threshold", 1.0),
     ("lr", float("inf")), ("recon_weight", float("inf")), ("lambda_", float("inf")),
+    ("seed", -1),
 ])
 def test_validation_bounds(field, value):
     with pytest.raises(ConfigError):

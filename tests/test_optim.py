@@ -66,6 +66,7 @@ def test_step_matches_reference_bit_for_bit(rng):
     shapes = {
         "big": (3, CHUNK + CHUNK // 3 + 7),  # several chunks, last one partial
         "transposed": (5, 3),                # grad given as a transposed view
+        "read_only": (2, 3),                 # grad given read-only
         "no_grad": (4,),                     # grad stays None
     }
     params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
@@ -75,14 +76,18 @@ def test_step_matches_reference_bit_for_bit(rng):
     for t in range(1, 6):
         grads = {"big": rng.normal(size=shapes["big"]),
                  "transposed": rng.normal(size=(3, 5)).T,
+                 "read_only": rng.normal(size=shapes["read_only"]),
                  "no_grad": None}
+        grads["read_only"].flags.writeable = False
         assert not grads["transposed"].flags.c_contiguous
+        given = {k: None if g is None else g.copy() for k, g in grads.items()}
         old = {}
         for k, p in params.items():
             p.grad = grads[k]
             old[k] = p.data
         opt.step(params)
         for k, p in params.items():
+            np.testing.assert_array_equal(grads[k], given[k])  # only read
             g = grads[k] if grads[k] is not None else np.zeros(shapes[k])
             ref[k] = reference_step(*ref[k], g, t, lr=0.01)
             np.testing.assert_array_equal(p.data, ref[k][0])
