@@ -99,7 +99,7 @@ def _cmd_train(args) -> int:
     trained, metrics = run_training(cfg, args.data, out_dir=args.out,
                                     cache_dir=args.features)
     print(f"train: model={cfg.model} best_epoch={metrics.best_epoch} "
-          f"{metrics.metric_name}={metrics.best_test_metric} -> {args.out}")
+          f"{metric_name(cfg.mode)}={metrics.best_test_metric} -> {args.out}")
     return 0
 
 

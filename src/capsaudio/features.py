@@ -196,11 +196,14 @@ def write_cache(path, m: np.ndarray) -> None:
 
 
 def read_cache(path) -> np.ndarray:
+    """The write_cache array at path, as float64; an empty one is a FormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != CACHE_MAGIC:
         raise FormatError(f"{path}: not a feature cache (bad magic)")
     n_frames, n_dims = struct.unpack_from("<II", raw, 4)
+    if n_frames == 0 or n_dims == 0:
+        raise FormatError(f"{path}: holds {n_frames} frames of {n_dims} dims")
     expected = 12 + 4 * n_frames * n_dims
     if len(raw) != expected:
         raise FormatError(f"{path}: payload is {len(raw) - 12} bytes, "

@@ -18,7 +18,7 @@ import numpy as np
 
 from .atomic import write_text
 from .audio import AudioClip, load_wav, write_wav
-from .errors import ConfigError, InsufficientData, ParseError
+from .errors import ConfigError, FormatError, InsufficientData, ParseError
 from .features import FeatureConfig, mfcc, read_cache, write_cache
 
 
@@ -93,7 +93,8 @@ def materialize(manifest: DatasetManifest, root: str,
     share one array. Arrays round-trip through the f32 cache representation
     regardless of whether a cache_dir is given, so cached and direct runs
     are bit-identical. Clips are loaded at audio.TARGET_RATE, which mfcc
-    checks against cfg.sample_rate. jobs must be 1: perfbench passes it
+    checks against cfg.sample_rate. Arrays of different widths (dims) raise
+    FormatError naming two of their paths. jobs must be 1: perfbench passes it
     positionally, and the next benchmark change deletes it (ROADMAP item 1).
     """
     if jobs != 1:
@@ -109,6 +110,11 @@ def materialize(manifest: DatasetManifest, root: str,
         return m
 
     by_path = {rel: one(rel) for rel in dict.fromkeys(e.path for e in manifest.entries)}
+    first = next(iter(by_path), None)
+    for rel, m in by_path.items():
+        if m.shape[1] != by_path[first].shape[1]:
+            raise FormatError(f"feature arrays differ in width: {first} has "
+                              f"{by_path[first].shape[1]} dims, {rel} has {m.shape[1]}")
     return [by_path[e.path] for e in manifest.entries]
 
 

@@ -40,19 +40,13 @@ class ArrayDataset:
         return self.X.shape[0]
 
 
-def pad_to(mat: np.ndarray, t_fix: int) -> np.ndarray:
-    """Zero-pad or truncate [T, D] to [t_fix, D]."""
-    t, d = mat.shape
-    if t >= t_fix:
-        return mat[:t_fix]
-    out = np.zeros((t_fix, d))
-    out[:t] = mat
-    return out
-
-
 def model_inputs(mats, scaler: ScalerParams, t_fix: int) -> np.ndarray:
-    """Scaled, padded [N, t_fix, dims] model inputs from feature arrays."""
-    return np.stack([pad_to(apply_scaler(m, scaler), t_fix) for m in mats])
+    """Scaled [N, t_fix, dims] model inputs from [T, dims] feature arrays,
+    each truncated or zero-padded to t_fix frames."""
+    out = np.zeros((len(mats), t_fix, scaler.minimum.shape[0]))
+    for row, m in zip(out, mats):
+        row[:len(m)] = apply_scaler(m[:t_fix], scaler)
+    return out
 
 
 def make_dataset(manifest, mats, class_names: list[str], scaler: ScalerParams,
@@ -86,70 +80,70 @@ def prepare_data(data_dir: str, t_fix: int, cache_dir: str | None = None):
 # ---------------------------------------------------------------------------
 # metrics
 
-def accuracy(preds: np.ndarray, targets: np.ndarray, mode: str) -> float:
-    """single: fraction of exactly-correct rows. multi: per-class binary
-    accuracy averaged over classes and examples (weighted accuracy)."""
+def confusion_matrix(preds: np.ndarray, targets: np.ndarray, mode: str) -> np.ndarray:
+    """single: [C, C] counts, rows = true class. multi: per-class binary
+    counts [C, 4] ordered tp, fp, fn, tn. Every metric is read from these."""
     if preds.shape != targets.shape:
         raise ShapeError(f"preds {preds.shape} vs targets {targets.shape}")
     if mode == "single":
-        return float(np.mean(np.all(preds == targets, axis=1)))
-    return float(np.mean(preds == targets))
-
-
-def confusion_matrix(preds: np.ndarray, targets: np.ndarray, mode: str) -> np.ndarray:
-    """single: [C, C] counts, rows = true class. multi: per-class binary
-    counts [C, 4] ordered tp, fp, fn, tn."""
-    C = targets.shape[1]
-    if mode == "single":
+        C = targets.shape[1]
         out = np.zeros((C, C), dtype=np.int64)
-        for t, p in zip(targets.argmax(axis=1), preds.argmax(axis=1)):
-            out[t, p] += 1
+        np.add.at(out, (targets.argmax(axis=1), preds.argmax(axis=1)), 1)
         return out
-    out = np.zeros((C, 4), dtype=np.int64)
-    for k in range(C):
-        t, p = targets[:, k] > 0, preds[:, k] > 0
-        out[k] = [np.sum(t & p), np.sum(~t & p), np.sum(t & ~p), np.sum(~t & ~p)]
-    return out
+    t, p = targets > 0, preds > 0
+    return np.stack([np.sum(t & p, axis=0), np.sum(~t & p, axis=0),
+                     np.sum(t & ~p, axis=0), np.sum(~t & ~p, axis=0)], axis=1)
 
 
-@dataclass
-class Metrics:
-    metric_name: str
-    epochs: list[int] = field(default_factory=list)
-    train_loss: list[float] = field(default_factory=list)
-    test_metric: list[float] = field(default_factory=list)
-    seconds: list[float] = field(default_factory=list)
-    confusion: np.ndarray | None = None  # the best epoch's; None without epochs
-    best_epoch: int | None = None
-
-    @property
-    def best_test_metric(self) -> float | None:
-        if self.best_epoch is None:
-            return None
-        return self.test_metric[self.epochs.index(self.best_epoch)]
+# Per label mode: the metric's name and what it measures.
+_METRICS = {
+    "single": ("accuracy", "fraction of exactly correct predictions"),
+    "multi": ("weighted_accuracy",
+              "per-class binary accuracy averaged over classes and examples"),
+}
 
 
 def metric_name(mode: str) -> str:
     """The evaluation metric reported for a label mode."""
-    return "accuracy" if mode == "single" else "weighted_accuracy"
+    return _METRICS[mode][0]
 
 
-_METRIC_NOTES = {
-    "accuracy": "fraction of exactly correct predictions",
-    "weighted_accuracy": "per-class binary accuracy averaged over classes and examples",
-}
+def metric_of(counts: np.ndarray, mode: str) -> float:
+    """The mode's metric from confusion_matrix counts: single, trace / total;
+    multi, (tp + tn) / total."""
+    hits = np.trace(counts) if mode == "single" else np.sum(counts[:, [0, 3]])
+    return float(hits / np.sum(counts))
+
+
+@dataclass
+class Metrics:
+    """One run's results; entry i of each list is epoch i + 1's."""
+
+    train_loss: list[float] = field(default_factory=list)
+    test_metric: list[float] = field(default_factory=list)
+    seconds: list[float] = field(default_factory=list)
+    confusion: np.ndarray | None = None  # the best epoch's; None without epochs
+
+    @property
+    def best_epoch(self) -> int | None:
+        """The selection rule: the first epoch with the highest test metric."""
+        return 1 + int(np.argmax(self.test_metric)) if self.test_metric else None
+
+    @property
+    def best_test_metric(self) -> float | None:
+        return max(self.test_metric) if self.test_metric else None
 
 
 def write_metrics(path, cfg: RunConfig, metrics: Metrics) -> None:
+    name, note = _METRICS[cfg.mode]
     lines = ["# capsaudio metrics v1"]
     lines += [f"# {line}" for line in config_to_text(cfg).splitlines()]
     lines += ["# selection: best_test",
-              f"# metric: {metrics.metric_name} "
-              f"({_METRIC_NOTES[metrics.metric_name]})",
+              f"# metric: {name} ({note})",
               f"# best_epoch: {metrics.best_epoch}",
               "# columns: epoch,train_loss,test_metric,seconds"]
-    lines += [f"{e},{l!r},{m!r},{s:.3f}" for e, l, m, s in zip(
-        metrics.epochs, metrics.train_loss, metrics.test_metric, metrics.seconds)]
+    lines += [f"{e},{l!r},{m!r},{s:.3f}" for e, (l, m, s) in enumerate(zip(
+        metrics.train_loss, metrics.test_metric, metrics.seconds), start=1)]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -272,8 +266,8 @@ def check_labels(mode: str, Y: np.ndarray) -> None:
 def evaluate(trained: TrainedModel, ds: ArrayDataset) -> tuple[float, np.ndarray]:
     scores = trained.scores(ds.X)
     preds = predict(scores, trained.cfg.mode, trained.cfg.threshold)
-    return accuracy(preds, ds.Y, trained.cfg.mode), confusion_matrix(
-        preds, ds.Y, trained.cfg.mode)
+    counts = confusion_matrix(preds, ds.Y, trained.cfg.mode)
+    return metric_of(counts, trained.cfg.mode), counts
 
 
 def train(cfg: RunConfig, train_set: ArrayDataset,
@@ -293,11 +287,10 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
     model = build_model(cfg, n_dims, n_classes, init_rng)
     opt = Adam(cfg.lr)
     trained = TrainedModel(model)
-    metrics = Metrics(metric_name(cfg.mode))
+    metrics = Metrics()
 
     # Adam.step and BatchNorm replace arrays, never write into them.
     best_snap = model_blocks(model)
-    best_metric = -1.0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(train_set))
@@ -317,14 +310,11 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
             losses.append(float(loss.data))
 
         test_metric, confusion = evaluate(trained, test_set)
-        metrics.epochs.append(epoch)
         metrics.train_loss.append(float(np.mean(losses)))
         metrics.test_metric.append(test_metric)
         metrics.seconds.append(time.perf_counter() - t0)
-        if test_metric > best_metric:
-            best_metric = test_metric
+        if metrics.best_epoch == epoch:
             best_snap = model_blocks(model)
-            metrics.best_epoch = epoch
             metrics.confusion = confusion
 
     load_blocks(model, best_snap)

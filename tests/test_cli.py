@@ -10,7 +10,7 @@ from capsaudio import gradcheck, manifest
 from capsaudio.checkpoint import load_checkpoint, save_checkpoint
 from capsaudio.cli import dispatch
 from capsaudio.config import load_config
-from capsaudio.features import mfcc, read_cache
+from capsaudio.features import mfcc, read_cache, write_cache
 from capsaudio.gradcheck import CHECKS
 from capsaudio.manifest import DatasetManifest, load_manifest, save_manifest
 from capsaudio.synthdata import make_digit_dataset
@@ -354,6 +354,37 @@ def test_bad_input_is_one_error_line(case, run_dir, tiny_data, tiny_cfg_file, tm
     err = capsys.readouterr().err
     assert code == expected
     assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+def _widen_first(paths):
+    m = read_cache(paths[0])
+    write_cache(paths[0], np.hstack([m, np.zeros((len(m), 1))]))
+
+
+def _empty_all(paths):
+    for path in paths:
+        write_cache(path, np.zeros((0, 60)))
+
+
+# Each case: how the cached features of the train clips are rewritten.
+BAD_FEATURE_FILES = {"one-clip-wider": _widen_first, "no-frames": _empty_all}
+
+
+@pytest.mark.parametrize("case", BAD_FEATURE_FILES)
+def test_bad_feature_file_is_one_error_line(case, tiny_data, tiny_cfg_file, tmp_path,
+                                            capsys):
+    cache = str(tmp_path / "feats")
+    assert dispatch(["features", "--data", tiny_data, "--out", cache]) == 0
+    train_rels = [e.path for e in load_manifest(os.path.join(tiny_data, "train.csv"),
+                                                "train").entries]
+    BAD_FEATURE_FILES[case]([manifest.cache_path(cache, rel) for rel in train_rels])
+    capsys.readouterr()
+    code = dispatch(["train", "--config", tiny_cfg_file, "--data", tiny_data,
+                     "--out", str(tmp_path / "r"), "--features", cache])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert train_rels[0] in err
 
 
 def _edit_blocks(edit):

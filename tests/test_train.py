@@ -5,11 +5,12 @@ from capsaudio import train as train_module
 from capsaudio.autodiff import Graph
 from capsaudio.config import RunConfig
 from capsaudio.errors import ConfigError, DivergenceFault, InsufficientData, ShapeError
+from capsaudio.features import ScalerParams
 from capsaudio.models import build_model
 from capsaudio.optim import Adam
-from capsaudio.train import (EVAL_BATCH, ArrayDataset, Metrics, accuracy,
-                             confusion_matrix, evaluate, pad_to, read_metrics_rows,
-                             train, write_metrics)
+from capsaudio.train import (EVAL_BATCH, ArrayDataset, Metrics, confusion_matrix,
+                             evaluate, metric_name, metric_of, model_blocks,
+                             model_inputs, read_metrics_rows, train, write_metrics)
 
 
 def separable_dataset(n_per_class=10, t_fix=6, n_dims=4, jitter=0.0, seed=0):
@@ -38,6 +39,11 @@ def tiny_cfg(**kw):
 
 # --- accuracy / confusion ----------------------------------------------------
 
+def accuracy(preds, targets, mode):
+    """The mode's metric of preds against targets, read from their counts."""
+    return metric_of(confusion_matrix(preds, targets, mode), mode)
+
+
 def test_accuracy_all_correct():
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert accuracy(y, y, "single") == 1.0
@@ -59,7 +65,23 @@ def test_accuracy_multi_two_thirds():
 
 def test_accuracy_shape_mismatch():
     with pytest.raises(ShapeError):
-        accuracy(np.zeros((2, 3)), np.zeros((3, 3)), "single")
+        confusion_matrix(np.zeros((2, 3)), np.zeros((3, 3)), "single")
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_metric_of_counts_matches_elementwise_reference(mode):
+    # The reference compares rows (single) or elements (multi) directly.
+    rng = np.random.default_rng(7)
+    for n, c in [(1, 2), (7, 3), (64, 10), (333, 5)]:
+        if mode == "single":
+            preds, targets = (np.eye(c)[rng.integers(c, size=n)] for _ in range(2))
+            want = float(np.mean(np.all(preds == targets, axis=1)))
+        else:
+            preds, targets = (rng.integers(2, size=(n, c)).astype(float) for _ in range(2))
+            want = float(np.mean(preds == targets))
+        counts = confusion_matrix(preds, targets, mode)
+        assert counts.dtype == np.int64 and counts.sum() == (n if mode == "single" else n * c)
+        assert metric_of(counts, mode) == want  # bit for bit
 
 
 def test_confusion_single_rows_sum_to_class_counts():
@@ -81,18 +103,20 @@ def test_confusion_multi_counts():
 
 # --- training ----------------------------------------------------------------
 
-def test_pad_to():
-    m = np.ones((3, 2))
-    padded = pad_to(m, 5)
-    assert padded.shape == (5, 2)
-    np.testing.assert_array_equal(padded[3:], 0.0)
-    np.testing.assert_array_equal(pad_to(m, 2), m[:2])
+def test_model_inputs_pad_and_truncate():
+    scaler = ScalerParams(np.zeros(2), np.ones(2))  # the identity scaling
+    m = np.full((3, 2), 0.5)
+    padded, truncated = model_inputs([m, m], scaler, 5), model_inputs([m], scaler, 2)
+    assert padded.shape == (2, 5, 2)
+    np.testing.assert_array_equal(padded[:, :3], 0.5)
+    np.testing.assert_array_equal(padded[:, 3:], 0.0)
+    np.testing.assert_array_equal(truncated[0], m[:2])
 
 
 def test_epochs_zero_returns_initialization():
     ds = separable_dataset()
     trained, metrics = train(tiny_cfg(epochs=0), ds, ds)
-    assert metrics.epochs == [] and metrics.train_loss == []
+    assert metrics.test_metric == [] and metrics.train_loss == []
     assert metrics.best_epoch is None
     metric, _ = evaluate(trained, ds)  # runs, on untrained weights
     assert 0.0 <= metric <= 1.0
@@ -111,7 +135,7 @@ def test_separable_set_reaches_full_train_accuracy(model):
     trained, metrics = train(cfg, ds, ds)
     train_acc, _ = evaluate(trained, ds)
     assert train_acc == 1.0
-    assert len(metrics.epochs) == 50
+    assert len(metrics.test_metric) == 50
 
 
 def test_first_step_descent_property():
@@ -200,7 +224,8 @@ def test_multi_mode_trains():
     ds.Y[0] = [1.0, 1.0]
     cfg = tiny_cfg(mode="multi", lambda_=1.0, epochs=3)
     _, metrics = train(cfg, ds, ds)
-    assert metrics.metric_name == "weighted_accuracy"
+    assert metric_name("multi") == "weighted_accuracy"
+    assert len(metrics.test_metric) == 3
 
 
 def test_best_epoch_selection():
@@ -209,7 +234,7 @@ def test_best_epoch_selection():
     best = metrics.best_test_metric
     assert best == max(metrics.test_metric)
     # earliest epoch achieving the max is selected
-    assert metrics.best_epoch == metrics.epochs[metrics.test_metric.index(best)]
+    assert metrics.best_epoch == 1 + metrics.test_metric.index(best)
 
 
 def test_returned_model_is_the_best_epoch_not_the_last():
@@ -236,6 +261,30 @@ def test_confusion_is_the_returned_models_with_one_evaluate_per_epoch(monkeypatc
     assert len(calls) == 6
     assert metrics.best_epoch < 6  # the returned model is not the last epoch's
     np.testing.assert_array_equal(metrics.confusion, evaluate(trained, test_set)[1])
+
+
+def test_ties_select_the_first_best_epoch(monkeypatch):
+    # Scripted metrics with the real counts: epochs 2 and 3 tie for best.
+    ds = separable_dataset(jitter=0.05)
+    scripted = iter([0.5, 0.75, 0.75, 0.25])
+    seen = []
+
+    def scripted_evaluate(trained, test_set):
+        _, counts = evaluate(trained, test_set)
+        seen.append((counts, {name: arr.copy()
+                              for name, arr in model_blocks(trained.model).items()}))
+        return next(scripted), counts
+
+    monkeypatch.setattr(train_module, "evaluate", scripted_evaluate)
+    trained, metrics = train(tiny_cfg(epochs=4), ds, ds)
+    assert metrics.best_epoch == 2 and metrics.best_test_metric == 0.75
+    counts, blocks = seen[1]
+    assert metrics.confusion is counts
+    returned = model_blocks(trained.model)
+    assert returned.keys() == blocks.keys()
+    for name, arr in blocks.items():
+        np.testing.assert_array_equal(returned[name], arr)
+    assert not np.array_equal(seen[2][1]["caps.W"], blocks["caps.W"])
 
 
 # --- batched inference --------------------------------------------------------
@@ -265,14 +314,15 @@ def test_caps_vectors_on_baseline_names_model(model):
 
 def test_metrics_file_format(tmp_path):
     cfg = tiny_cfg()
-    metrics = Metrics("accuracy", epochs=[1, 2], train_loss=[0.5, 0.25],
-                      test_metric=[0.75, 1.0], seconds=[0.11, 0.12], best_epoch=2)
+    metrics = Metrics(train_loss=[0.5, 0.25], test_metric=[0.75, 1.0],
+                      seconds=[0.11, 0.12])
     path = tmp_path / "metrics.csv"
     write_metrics(path, cfg, metrics)
     text = path.read_text()
     assert "# model=caps" in text
     assert "# selection: best_test" in text
     assert "# metric: accuracy" in text
+    assert "# best_epoch: 2" in text
     rows = read_metrics_rows(path)
     assert rows[0][:3] == (1, 0.5, 0.75)
     assert rows[1][:3] == (2, 0.25, 1.0)
@@ -281,11 +331,9 @@ def test_metrics_file_format(tmp_path):
 def test_failed_metrics_write_keeps_old_file(tmp_path):
     cfg = tiny_cfg()
     path = tmp_path / "metrics.csv"
-    write_metrics(path, cfg, Metrics("accuracy", epochs=[1], train_loss=[0.5],
-                                     test_metric=[0.75], seconds=[0.1], best_epoch=1))
+    write_metrics(path, cfg, Metrics(train_loss=[0.5], test_metric=[0.75], seconds=[0.1]))
     before = path.read_bytes()
-    bad = Metrics("accuracy", epochs=[1, 2], train_loss=[0.5, 0.25],
-                  test_metric=[0.75, 1.0], seconds=[0.1, "n/a"], best_epoch=2)
+    bad = Metrics(train_loss=[0.5, 0.25], test_metric=[0.75, 1.0], seconds=[0.1, "n/a"])
     with pytest.raises(ValueError):  # the second row's seconds cannot format
         write_metrics(path, cfg, bad)
     assert path.read_bytes() == before
