@@ -1,8 +1,15 @@
-"""OpenBLAS's build string and thread count, read and set through ctypes.
+"""OpenBLAS's build string and thread count, read and set through ctypes,
+and park(), which stops its idle worker threads.
 
 The library is the one numpy loaded, found in /proc/self/maps. With any
 other BLAS, or where that file is unreadable, config() and threads() return
-None and set_threads and one_thread change nothing.
+None and set_threads, one_thread and park change nothing.
+
+After each threaded call OpenBLAS's workers spin for about 0.1 s waiting for
+the next one, so the other cores are busy even when no BLAS call runs.
+park() stops them through blas_thread_shutdown_, the function OpenBLAS's own
+fork handler calls; the next threaded call starts them again, at the same
+thread count. It must not run while another thread is inside BLAS.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ _SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_thread
 
 @functools.cache
 def _api():
-    """The loaded OpenBLAS's (get, set) thread-count and config functions, or None."""
+    """The loaded OpenBLAS's (get, set) thread-count, config and park
+    functions, or None; park is None where the library lacks it."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -40,7 +48,10 @@ def _api():
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 config_.argtypes, config_.restype = [], ctypes.c_char_p
-                return get, set_, config_
+                park_ = getattr(lib, "blas_thread_shutdown_", None)
+                if park_ is not None:
+                    park_.argtypes, park_.restype = [], ctypes.c_int
+                return get, set_, config_, park_
     return None
 
 
@@ -62,6 +73,14 @@ def set_threads(n: int) -> None:
     api = _api()
     if api is not None:
         api[1](n)
+
+
+def park() -> None:
+    """Stop OpenBLAS's idle workers; threads() is unchanged, and the next
+    threaded call restarts them. Nothing with an unknown BLAS."""
+    api = _api()
+    if api is not None and api[3] is not None:
+        api[3]()
 
 
 @contextlib.contextmanager

@@ -109,7 +109,7 @@ def _cmd_eval(args) -> int:
     targets = targets_for(man, class_names)
     check_labels(trained.cfg.mode, targets)
     mats = materialize(man, args.data, cache_dir=args.features)
-    ds = ArrayDataset(trained.inputs(mats), targets)
+    ds = ArrayDataset(trained.inputs(mats, man), targets)
     metric, _ = evaluate(trained, ds)
     print(f"eval: {args.split} {metric_name(trained.cfg.mode)}={metric}")
     return 0

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import os
+import queue
+import threading
+
 import numpy as np
 
+from . import blas
 from .autodiff import Tensor
 
 # Elements per block of the update: the ~14 elementwise ops of one block run
@@ -13,6 +19,69 @@ CHUNK = 32768
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+
+# Each walking thread's own pair of CHUNK-sized buffers.
+_scratch = threading.local()
+
+
+def _walk(blocks, lr: float, b1t: float, b2t: float) -> None:
+    """The update over blocks, each (flat p, g, m, v and new views, lo):
+    m and v are updated in place and new[lo:lo + CHUNK] is written."""
+    if not hasattr(_scratch, "ab"):
+        _scratch.ab = np.empty(CHUNK), np.empty(CHUNK)
+    buf_a, buf_b = _scratch.ab
+    c1, c2 = 1.0 - BETA1, 1.0 - BETA2
+    for flat, lo in blocks:
+        pc, gc, mc, vc, out = (x[lo:lo + CHUNK] for x in flat)
+        a, b = buf_a[: out.size], buf_b[: out.size]
+        np.multiply(mc, BETA1, out=mc)
+        np.multiply(gc, c1, out=a)
+        np.add(mc, a, out=mc)
+        np.multiply(vc, BETA2, out=vc)
+        np.multiply(gc, gc, out=a)
+        np.multiply(a, c2, out=a)
+        np.add(vc, a, out=vc)
+        np.divide(vc, b2t, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, EPS, out=a)
+        np.divide(mc, b1t, out=b)
+        np.multiply(b, lr, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(pc, b, out=out)
+
+
+class _Helper:
+    """A daemon thread that runs the jobs put in its inbox, one at a time,
+    and puts each job's exception, or None, in its outbox."""
+
+    def __init__(self):
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self.outbox: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="adam-helper", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            job = self.inbox.get()
+            try:
+                job()
+                self.outbox.put(None)
+            except Exception as e:  # handed to the stepping thread, which raises it
+                self.outbox.put(e)
+
+
+# Adam's helper threads, started as first needed. They are shared by every
+# Adam, so an idle helper of one Adam never keeps the next from splitting its
+# walk. A forked child has none of its parent's threads, so it starts its own.
+_helpers: list[_Helper] = []
+os.register_at_fork(after_in_child=_helpers.clear)
+
+
+def _shares(blocks, n: int):
+    """blocks cut into n contiguous runs of about equal element count."""
+    ends = np.cumsum([min(CHUNK, flat[0].size - lo) for flat, lo in blocks])
+    cuts = [0, *(int(np.searchsorted(ends, ends[-1] * k / n)) + 1 for k in range(1, n)),
+            len(blocks)]
+    return [blocks[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
 class Adam:
@@ -25,8 +94,9 @@ class Adam:
     order, ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*(g*g)``
     and ``p - lr*(m/b1t) / (sqrt(v/b2t) + eps)``, with beta1, beta2 and eps
     the module constants ``BETA1``, ``BETA2`` and ``EPS``. The module constant
-    ``CHUNK`` only sets how many elements each block of the walk covers;
-    results do not depend on it.
+    ``CHUNK`` only sets how many elements each block of the walk covers, and
+    ``step`` walks the blocks on as many threads as BLAS has; results depend
+    neither on ``CHUNK`` nor on how many threads walk the blocks.
     """
 
     def __init__(self, lr: float):
@@ -34,18 +104,21 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
-        self._a = np.empty(CHUNK)
-        self._b = np.empty(CHUNK)
 
     def step(self, params: dict[str, Tensor]) -> None:
         """One update over named parameters; missing grads count as zero.
 
-        Gradients are cleared afterwards.
+        Gradients are cleared afterwards. With n = blas.threads() > 1, at
+        least two blocks' worth of elements, and no Python thread but this
+        one and Adam's helpers alive, BLAS's idle workers are parked and the
+        blocks are walked in n contiguous shares: this thread walks the
+        first, a helper thread each other one. Otherwise this thread walks
+        them all.
         """
         self.t += 1
-        b1t = 1.0 - BETA1 ** self.t
-        b2t = 1.0 - BETA2 ** self.t
-        c1, c2 = 1.0 - BETA1, 1.0 - BETA2
+        walk = functools.partial(_walk, lr=self.lr, b1t=1.0 - BETA1 ** self.t,
+                                 b2t=1.0 - BETA2 ** self.t)
+        news, blocks = [], []
         for name, p in params.items():
             if name not in self.m:
                 self.m[name] = np.zeros(p.data.shape)
@@ -53,22 +126,26 @@ class Adam:
             g = p.grad if p.grad is not None else np.zeros(p.data.shape)
             new = np.empty(p.data.shape)
             flat = [x.reshape(-1) for x in (p.data, g, self.m[name], self.v[name], new)]
-            for lo in range(0, new.size, CHUNK):
-                pc, gc, mc, vc, out = (x[lo:lo + CHUNK] for x in flat)
-                a, b = self._a[: out.size], self._b[: out.size]
-                np.multiply(mc, BETA1, out=mc)
-                np.multiply(gc, c1, out=a)
-                np.add(mc, a, out=mc)
-                np.multiply(vc, BETA2, out=vc)
-                np.multiply(gc, gc, out=a)
-                np.multiply(a, c2, out=a)
-                np.add(vc, a, out=vc)
-                np.divide(vc, b2t, out=a)
-                np.sqrt(a, out=a)
-                np.add(a, EPS, out=a)
-                np.divide(mc, b1t, out=b)
-                np.multiply(b, self.lr, out=b)
-                np.divide(b, a, out=b)
-                np.subtract(pc, b, out=out)
+            blocks += [(flat, lo) for lo in range(0, new.size, CHUNK)]
+            news.append(new)
+        n = blas.threads() or 1
+        total = sum(new.size for new in news)
+        if n > 1 and total >= 2 * CHUNK and threading.active_count() == 1 + len(_helpers):
+            blas.park()
+            while len(_helpers) < n - 1:
+                _helpers.append(_Helper())
+            first, *rest = _shares(blocks, n)
+            for helper, share in zip(_helpers, rest):
+                helper.inbox.put(functools.partial(walk, share))
+            try:
+                walk(first)
+            finally:
+                errors = [helper.outbox.get() for helper in _helpers[:len(rest)]]
+            for e in errors:
+                if e is not None:
+                    raise e
+        else:
+            walk(blocks)
+        for p, new in zip(params.values(), news):
             p.data = new
             p.grad = None

@@ -49,6 +49,16 @@ def model_inputs(mats, scaler: ScalerParams, t_fix: int) -> np.ndarray:
     return out
 
 
+def check_widths(manifest, mats, scaler: ScalerParams, scaler_from: str) -> None:
+    """Raise FormatError for the first of the manifest's clips whose feature
+    width is not the scaler's; scaler_from names where the scaler came from."""
+    want = scaler.minimum.shape[0]
+    for entry, m in zip(manifest.entries, mats):
+        if m.shape[1] != want:
+            raise FormatError(f"{manifest.split} clip {entry.path} has {m.shape[1]} feature "
+                              f"dims, but the scaler from {scaler_from} has {want}")
+
+
 def make_dataset(manifest, mats, class_names: list[str], scaler: ScalerParams,
                  t_fix: int) -> ArrayDataset:
     return ArrayDataset(model_inputs(mats, scaler, t_fix), targets_for(manifest, class_names))
@@ -72,6 +82,7 @@ def prepare_data(data_dir: str, t_fix: int, cache_dir: str | None = None):
     mats = {split: materialize(man, data_dir, cache_dir=cache_dir)
             for split, man in mans.items()}
     scaler = fit_scaler(mats["train"])
+    check_widths(mans["test"], mats["test"], scaler, "the train split")
     train_ds, test_ds = (make_dataset(mans[split], mats[split], class_names, scaler, t_fix)
                          for split in ("train", "test"))
     return train_ds, test_ds, scaler
@@ -188,10 +199,14 @@ class TrainedModel:
                               f"got model={self.cfg.model}")
         return self._batched(X, "caps")
 
-    def inputs(self, mats) -> np.ndarray:
-        """Model inputs from feature arrays, scaled by the model's own scaler."""
+    def inputs(self, mats, manifest=None) -> np.ndarray:
+        """Model inputs from feature arrays, scaled by the model's own scaler.
+        Given the manifest the arrays came from, check_widths names a clip
+        whose width is not the scaler's."""
         if self.scaler is None:
             raise ConfigError("checkpoint carries no feature scaler")
+        if manifest is not None:
+            check_widths(manifest, mats, self.scaler, "the checkpoint")
         return model_inputs(mats, self.scaler, self.cfg.T_fix)
 
     def save(self, path) -> None:

@@ -387,6 +387,28 @@ def test_bad_feature_file_is_one_error_line(case, tiny_data, tiny_cfg_file, tmp_
     assert train_rels[0] in err
 
 
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_test_clips_wider_than_the_scaler_are_one_error_line(verb, run_dir, tiny_data,
+                                                             tiny_cfg_file, tmp_path, capsys):
+    # Every test clip's cached features gain a 61st dim; the scaler (fitted
+    # on the train split, or read from the checkpoint) has 60.
+    cache = str(tmp_path / "feats")
+    assert dispatch(["features", "--data", tiny_data, "--out", cache]) == 0
+    test_rels = [e.path for e in load_manifest(os.path.join(tiny_data, "test.csv"),
+                                               "test").entries]
+    for rel in test_rels:
+        _widen_first([manifest.cache_path(cache, rel)])
+    capsys.readouterr()
+    argv = {"train": ["train", "--config", tiny_cfg_file, "--out", str(tmp_path / "r")],
+            "eval": ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.cpsn")]}[verb]
+    code = dispatch(argv + ["--data", tiny_data, "--features", cache])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"test clip {test_rels[0]} has 61 feature dims" in err
+    assert "has 60" in err
+
+
 def _edit_blocks(edit):
     def rewrite(src, dst):
         cfg, blocks = load_checkpoint(src)

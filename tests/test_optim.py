@@ -1,7 +1,40 @@
-import numpy as np
+import os
+import signal
+import sys
+import threading
+import time
 
+import numpy as np
+import pytest
+
+from capsaudio import blas, optim
 from capsaudio.autodiff import Tensor
 from capsaudio.optim import CHUNK, Adam
+
+
+@pytest.fixture()
+def blas_threads():
+    """Sets BLAS's thread count for one test and restores it afterwards;
+    asking for more than one thread skips the test where the count is unknown."""
+    before = blas.threads()
+
+    def set_threads(n):
+        if before is None and n > 1:
+            pytest.skip("BLAS thread count unknown")
+        blas.set_threads(n)
+
+    yield set_threads
+    if before is not None:
+        blas.set_threads(before)
+
+
+@pytest.fixture()
+def parks(monkeypatch):
+    """One entry per blas.park call; the calls still park."""
+    calls = []
+    real = blas.park
+    monkeypatch.setattr(blas, "park", lambda: (calls.append(1), real()))
+    return calls
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -62,19 +95,22 @@ def reference_step(p, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return p - lr * (m / b1t) / (np.sqrt(v / b2t) + eps), m, v
 
 
-def test_step_matches_reference_bit_for_bit(rng):
+def check_against_reference(rng, steps=5):
     shapes = {
-        "big": (3, CHUNK + CHUNK // 3 + 7),  # several chunks, last one partial
-        "transposed": (5, 3),                # grad given as a transposed view
-        "read_only": (2, 3),                 # grad given read-only
-        "no_grad": (4,),                     # grad stays None
+        "big": (4, CHUNK - 3),         # several chunks, last one partial
+        "big2": (3 * CHUNK + 100,),    # so are this one's; at two threads
+                                       # one thread walks big, the other the rest
+        "transposed": (5, 3),          # grad given as a transposed view
+        "read_only": (2, 3),           # grad given read-only
+        "no_grad": (4,),               # grad stays None
     }
     params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
     ref = {k: (p.data.copy(), np.zeros(s), np.zeros(s)) for (k, p), s in
            zip(params.items(), shapes.values())}
     opt = Adam(lr=0.01)
-    for t in range(1, 6):
+    for t in range(1, steps + 1):
         grads = {"big": rng.normal(size=shapes["big"]),
+                 "big2": rng.normal(size=shapes["big2"]),
                  "transposed": rng.normal(size=(3, 5)).T,
                  "read_only": rng.normal(size=shapes["read_only"]),
                  "no_grad": None}
@@ -94,3 +130,79 @@ def test_step_matches_reference_bit_for_bit(rng):
             assert p.data.flags.c_contiguous
             assert not np.shares_memory(p.data, old[k])
             assert p.grad is None
+
+
+def test_step_matches_reference_bit_for_bit(rng, blas_threads, parks):
+    # 4 is more threads than the 2-vCPU reference machine has cores.
+    for threads in (1, 2, 4):
+        blas_threads(threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter lock often
+        try:
+            check_against_reference(rng, steps=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(parks) == (5 if threads > 1 else 0)  # every step was split
+        parks.clear()
+
+
+def three_block_step(rng):
+    p = Tensor(rng.normal(size=3 * CHUNK), requires_grad=True)
+    p.grad = rng.normal(size=3 * CHUNK)
+    Adam(lr=0.01).step({"p": p})
+
+
+def test_one_blas_thread_starts_no_thread_and_does_not_park(rng, blas_threads, parks):
+    blas_threads(1)
+    before = threading.active_count()
+    three_block_step(rng)
+    assert threading.active_count() == before
+    assert not parks
+
+
+def test_other_python_thread_keeps_the_walk_on_the_caller(rng, blas_threads, parks):
+    # blas_thread_shutdown_ must not run while another thread may be in BLAS.
+    blas_threads(2)
+    stop = threading.Event()
+    idle = threading.Thread(target=stop.wait)
+    idle.start()
+    try:
+        check_against_reference(rng, steps=2)
+    finally:
+        stop.set()
+        idle.join(timeout=10)
+    assert not idle.is_alive()
+    assert not parks
+
+
+# Python 3.12+ warns on a fork in a process with threads: that fork is the test.
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+def test_forked_child_walks_on_its_own_helper(rng, blas_threads, parks):
+    blas_threads(2)
+    three_block_step(rng)
+    assert parks and optim._helpers  # this process's helper thread is running
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only if its step ran on two threads
+        code = 1
+        try:
+            n = len(parks)
+            three_block_step(rng)
+            code = 0 if len(parks) == n + 1 else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's step did not return within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_park_keeps_thread_count_and_matmul_bits(rng):
+    a = rng.normal(size=(300, 300))
+    threads, before = blas.threads(), a @ a
+    blas.park()
+    assert blas.threads() == threads
+    assert (a @ a).tobytes() == before.tobytes()
