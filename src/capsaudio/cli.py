@@ -22,9 +22,9 @@ from .audio import load_wav
 from .config import apply_overrides, load_config
 from .errors import CapsAudioError, ConfigError
 from .manifest import materialize, synth_multilabel, save_manifest, targets_for
-from .train import (GRID_AXES, ArrayDataset, check_labels, evaluate, load_splits,
-                    load_trained, metric_name, prepare_data, run_grid, run_training,
-                    write_grid_table)
+from .train import (GRID_AXES, ArrayDataset, check_labels, check_widths, evaluate,
+                    load_splits, load_trained, metric_name, prepare_data, run_grid,
+                    run_training, write_grid_table)
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -109,7 +109,9 @@ def _cmd_eval(args) -> int:
     targets = targets_for(man, class_names)
     check_labels(trained.cfg.mode, targets)
     mats = materialize(man, args.data, cache_dir=args.features)
-    ds = ArrayDataset(trained.inputs(mats, man), targets)
+    if trained.scaler is not None:  # without one, inputs() says so
+        check_widths(man, mats, trained.scaler, "the checkpoint")
+    ds = ArrayDataset(trained.inputs(mats), targets)
     metric, _ = evaluate(trained, ds)
     print(f"eval: {args.split} {metric_name(trained.cfg.mode)}={metric}")
     return 0

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import functools
-import os
-import queue
 import threading
 
 import numpy as np
@@ -20,16 +18,17 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
-# Each walking thread's own pair of CHUNK-sized buffers.
-_scratch = threading.local()
+# At most this many threads walk one step's blocks. The split was measured
+# only on 2 vCPUs, where two threads took desk-sized Adam from ~38 to ~23 ms;
+# more threads, each taking the interpreter lock for every one of its ufunc
+# calls, are unmeasured.
+MAX_THREADS = 2
 
 
 def _walk(blocks, lr: float, b1t: float, b2t: float) -> None:
     """The update over blocks, each (flat p, g, m, v and new views, lo):
     m and v are updated in place and new[lo:lo + CHUNK] is written."""
-    if not hasattr(_scratch, "ab"):
-        _scratch.ab = np.empty(CHUNK), np.empty(CHUNK)
-    buf_a, buf_b = _scratch.ab
+    buf_a, buf_b = np.empty(CHUNK), np.empty(CHUNK)
     c1, c2 = 1.0 - BETA1, 1.0 - BETA2
     for flat, lo in blocks:
         pc, gc, mc, vc, out = (x[lo:lo + CHUNK] for x in flat)
@@ -48,32 +47,6 @@ def _walk(blocks, lr: float, b1t: float, b2t: float) -> None:
         np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
         np.subtract(pc, b, out=out)
-
-
-class _Helper:
-    """A daemon thread that runs the jobs put in its inbox, one at a time,
-    and puts each job's exception, or None, in its outbox."""
-
-    def __init__(self):
-        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
-        self.outbox: queue.SimpleQueue = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="adam-helper", daemon=True).start()
-
-    def _serve(self) -> None:
-        while True:
-            job = self.inbox.get()
-            try:
-                job()
-                self.outbox.put(None)
-            except Exception as e:  # handed to the stepping thread, which raises it
-                self.outbox.put(e)
-
-
-# Adam's helper threads, started as first needed. They are shared by every
-# Adam, so an idle helper of one Adam never keeps the next from splitting its
-# walk. A forked child has none of its parent's threads, so it starts its own.
-_helpers: list[_Helper] = []
-os.register_at_fork(after_in_child=_helpers.clear)
 
 
 def _shares(blocks, n: int):
@@ -95,8 +68,9 @@ class Adam:
     and ``p - lr*(m/b1t) / (sqrt(v/b2t) + eps)``, with beta1, beta2 and eps
     the module constants ``BETA1``, ``BETA2`` and ``EPS``. The module constant
     ``CHUNK`` only sets how many elements each block of the walk covers, and
-    ``step`` walks the blocks on as many threads as BLAS has; results depend
-    neither on ``CHUNK`` nor on how many threads walk the blocks.
+    ``step`` walks the blocks on up to ``MAX_THREADS`` threads when BLAS has
+    more than one; results depend neither on ``CHUNK`` nor on how many threads
+    walk the blocks.
     """
 
     def __init__(self, lr: float):
@@ -108,12 +82,12 @@ class Adam:
     def step(self, params: dict[str, Tensor]) -> None:
         """One update over named parameters; missing grads count as zero.
 
-        Gradients are cleared afterwards. With n = blas.threads() > 1, at
-        least two blocks' worth of elements, and no Python thread but this
-        one and Adam's helpers alive, BLAS's idle workers are parked and the
-        blocks are walked in n contiguous shares: this thread walks the
-        first, a helper thread each other one. Otherwise this thread walks
-        them all.
+        Gradients are cleared afterwards. With n = min(blas.threads(),
+        MAX_THREADS) > 1, at least two blocks' worth of elements, and no
+        other Python thread alive, BLAS's idle workers are parked and the
+        blocks are walked in n contiguous shares: this thread walks the first,
+        and a thread started for this step each other one. Otherwise this
+        thread walks them all.
         """
         self.t += 1
         walk = functools.partial(_walk, lr=self.lr, b1t=1.0 - BETA1 ** self.t,
@@ -128,22 +102,31 @@ class Adam:
             flat = [x.reshape(-1) for x in (p.data, g, self.m[name], self.v[name], new)]
             blocks += [(flat, lo) for lo in range(0, new.size, CHUNK)]
             news.append(new)
-        n = blas.threads() or 1
+        n = min(blas.threads() or 1, MAX_THREADS)
         total = sum(new.size for new in news)
-        if n > 1 and total >= 2 * CHUNK and threading.active_count() == 1 + len(_helpers):
+        if n > 1 and total >= 2 * CHUNK and threading.active_count() == 1:
+            # blas_thread_shutdown_ must not run while another thread may be in BLAS.
             blas.park()
-            while len(_helpers) < n - 1:
-                _helpers.append(_Helper())
             first, *rest = _shares(blocks, n)
-            for helper, share in zip(_helpers, rest):
-                helper.inbox.put(functools.partial(walk, share))
+            errors = []
+
+            def walk_share(share):
+                try:
+                    walk(share)
+                except Exception as e:  # raised on this thread once all have ended
+                    errors.append(e)
+
+            helpers = [threading.Thread(target=walk_share, args=(share,), name="adam-walk")
+                       for share in rest]
+            for helper in helpers:
+                helper.start()
             try:
                 walk(first)
             finally:
-                errors = [helper.outbox.get() for helper in _helpers[:len(rest)]]
-            for e in errors:
-                if e is not None:
-                    raise e
+                for helper in helpers:
+                    helper.join()
+            if errors:
+                raise errors[0]
         else:
             walk(blocks)
         for p, new in zip(params.values(), news):

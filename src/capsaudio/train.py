@@ -199,14 +199,10 @@ class TrainedModel:
                               f"got model={self.cfg.model}")
         return self._batched(X, "caps")
 
-    def inputs(self, mats, manifest=None) -> np.ndarray:
-        """Model inputs from feature arrays, scaled by the model's own scaler.
-        Given the manifest the arrays came from, check_widths names a clip
-        whose width is not the scaler's."""
+    def inputs(self, mats) -> np.ndarray:
+        """Model inputs from feature arrays, scaled by the model's own scaler."""
         if self.scaler is None:
             raise ConfigError("checkpoint carries no feature scaler")
-        if manifest is not None:
-            check_widths(manifest, mats, self.scaler, "the checkpoint")
         return model_inputs(mats, self.scaler, self.cfg.T_fix)
 
     def save(self, path) -> None:

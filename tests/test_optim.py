@@ -1,13 +1,10 @@
-import os
-import signal
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from capsaudio import blas, optim
+from capsaudio import blas
 from capsaudio.autodiff import Tensor
 from capsaudio.optim import CHUNK, Adam
 
@@ -34,6 +31,16 @@ def parks(monkeypatch):
     calls = []
     real = blas.park
     monkeypatch.setattr(blas, "park", lambda: (calls.append(1), real()))
+    return calls
+
+
+@pytest.fixture()
+def starts(monkeypatch):
+    """One entry per thread started; the threads still start."""
+    calls = []
+    real = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: (calls.append(self.name), real(self)))
     return calls
 
 
@@ -132,8 +139,8 @@ def check_against_reference(rng, steps=5):
             assert p.grad is None
 
 
-def test_step_matches_reference_bit_for_bit(rng, blas_threads, parks):
-    # 4 is more threads than the 2-vCPU reference machine has cores.
+def test_step_matches_reference_bit_for_bit(rng, blas_threads, parks, starts):
+    # At 4 BLAS threads the walk still splits in two (MAX_THREADS).
     for threads in (1, 2, 4):
         blas_threads(threads)
         interval = sys.getswitchinterval()
@@ -142,8 +149,11 @@ def test_step_matches_reference_bit_for_bit(rng, blas_threads, parks):
             check_against_reference(rng, steps=5)
         finally:
             sys.setswitchinterval(interval)
-        assert len(parks) == (5 if threads > 1 else 0)  # every step was split
+        split = threads > 1
+        assert len(parks) == (5 if split else 0)  # every step was split
+        assert starts == ["adam-walk"] * len(parks)  # one helper each
         parks.clear()
+        starts.clear()
 
 
 def three_block_step(rng):
@@ -152,12 +162,21 @@ def three_block_step(rng):
     Adam(lr=0.01).step({"p": p})
 
 
-def test_one_blas_thread_starts_no_thread_and_does_not_park(rng, blas_threads, parks):
+def test_one_blas_thread_starts_no_thread_and_does_not_park(rng, blas_threads, parks,
+                                                             starts):
     blas_threads(1)
-    before = threading.active_count()
     three_block_step(rng)
-    assert threading.active_count() == before
+    assert not starts
     assert not parks
+
+
+def test_helper_exception_is_raised_on_the_caller(rng, blas_threads, starts):
+    blas_threads(2)
+    p = Tensor(rng.normal(size=3 * CHUNK), requires_grad=True)
+    p.grad = rng.normal(size=3 * CHUNK - 1)  # the last share's block is short
+    with pytest.raises(ValueError):
+        Adam(lr=0.01).step({"p": p})
+    assert starts == ["adam-walk"]
 
 
 def test_other_python_thread_keeps_the_walk_on_the_caller(rng, blas_threads, parks):
@@ -173,31 +192,6 @@ def test_other_python_thread_keeps_the_walk_on_the_caller(rng, blas_threads, par
         idle.join(timeout=10)
     assert not idle.is_alive()
     assert not parks
-
-
-# Python 3.12+ warns on a fork in a process with threads: that fork is the test.
-@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
-def test_forked_child_walks_on_its_own_helper(rng, blas_threads, parks):
-    blas_threads(2)
-    three_block_step(rng)
-    assert parks and optim._helpers  # this process's helper thread is running
-    pid = os.fork()
-    if pid == 0:  # the child: exit 0 only if its step ran on two threads
-        code = 1
-        try:
-            n = len(parks)
-            three_block_step(rng)
-            code = 0 if len(parks) == n + 1 else 2
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 60
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's step did not return within 60 s")
-        time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_park_keeps_thread_count_and_matmul_bits(rng):
