@@ -12,7 +12,7 @@ from .audio import AudioClip, resample_linear
 from .errors import ConfigError
 from .features import write_cache
 from .manifest import DatasetManifest, cache_path, clip_features, materialize
-from .train import TrainedModel
+from .train import TrainedModel, check_widths
 
 DEFAULT_AMPLITUDE_LEVELS = (-0.1, -0.05, 0.05, 0.1)
 DEFAULT_SPEED_LEVELS = (0.8, 0.9, 1.1, 1.25)
@@ -134,6 +134,8 @@ def export_transfer_features(trained: TrainedModel, manifest: DatasetManifest,
     are the f32 of caps_vectors() over the clips' model inputs.
     """
     mats = materialize(manifest, root)
+    if trained.scaler is not None:  # without one, inputs() says so
+        check_widths(manifest, mats, trained.scaler, "the checkpoint")
     caps = trained.caps_vectors(trained.inputs(mats)).reshape(len(mats), -1)
     written = []
     for entry, m, vec in zip(manifest.entries, mats, caps):

@@ -20,8 +20,7 @@ def glorot(rng: np.random.Generator | None, shape, fan_in: int,
     """Uniform Glorot initialisation.
 
     rng=None draws nothing and returns a placeholder for a checkpoint load
-    to replace: a read-only zero view of the shape (all strides 0), which
-    holds no memory and cannot be written by mistake.
+    to replace: a read-only zero view (all strides 0) that holds no memory.
     """
     if rng is None:
         return np.broadcast_to(np.float64(0.0), shape)
@@ -50,6 +49,12 @@ class Module:
     configs) are skipped. Checkpoints store state blocks under a ``state.``
     prefix. Checkpoint block order, the optimizer's moment keys and
     parameter digests all follow these names.
+
+    A model's parameter and state arrays are read-only values: an update
+    replaces an array and never writes into one, so a snapshot of them
+    (train.model_blocks) holds without a copy. numpy's writeable flag is
+    cleared where each enters a model: build_model and load_blocks (by
+    ``seal``), Adam.step, and a training-mode BatchNorm forward.
     """
 
     def _named(self, kind, prefix: str = ""):
@@ -64,6 +69,11 @@ class Module:
 
     def state(self) -> dict[str, np.ndarray]:
         return dict(self._named(np.ndarray))
+
+    def seal(self) -> None:
+        """Flag every parameter and state array read-only."""
+        for arr in [t.data for t in self.params().values()] + list(self.state().values()):
+            arr.flags.writeable = False
 
     def set(self, named: dict) -> None:
         """Replace attributes by dotted name, as named by params()/state()."""
@@ -121,6 +131,7 @@ class BatchNorm(Module):
             xhat = centered / std
             self.running_mean = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mu
             self.running_var = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
+            self.running_mean.flags.writeable = self.running_var.flags.writeable = False
         else:
             std = np.sqrt(self.running_var + BN_EPS)
             xhat = (x.data - self.running_mean) * (1.0 / std)

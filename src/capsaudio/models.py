@@ -150,11 +150,13 @@ def sigmoid_xent(logits: Tensor, targets: np.ndarray | None):
 def build_model(cfg, n_dims: int, n_classes: int, rng):
     """Construct the architecture named by cfg.model.
 
+    Every parameter and state array is read-only (see layers.Module).
     rng=None builds the inference model as placeholders: nothing is drawn,
-    every randomly initialised weight is a read-only zero view that holds no
-    memory, for train.load_blocks to replace from a checkpoint, and the caps
-    model gets no decoder, whose loss only training reads.
+    every randomly initialised weight is a zero view that holds no memory,
+    for train.load_blocks to replace from a checkpoint, and the caps model
+    gets no decoder, whose loss only training reads.
     """
-    if cfg.model == "caps":
-        return CapsModel(rng, cfg, n_dims, n_classes)
-    return RecurrentBaseline(rng, cfg, n_dims, n_classes)
+    kind = CapsModel if cfg.model == "caps" else RecurrentBaseline
+    model = kind(rng, cfg, n_dims, n_classes)
+    model.seal()
+    return model

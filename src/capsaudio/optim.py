@@ -61,10 +61,9 @@ class Adam:
     """Adam (Kingma & Ba 2014) over named float64 parameters.
 
     The moments m and v are private to the optimizer and updated in place.
-    Each parameter's array is replaced, never mutated: ``step`` writes the
-    update into a new C-contiguous array, so snapshots taken between steps
-    stay valid. The arithmetic is, element by element and rounded in this
-    order, ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*(g*g)``
+    ``step`` writes each parameter's update into a new C-contiguous array
+    (see layers.Module). The arithmetic is, element by element and rounded in
+    this order, ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*(g*g)``
     and ``p - lr*(m/b1t) / (sqrt(v/b2t) + eps)``, with beta1, beta2 and eps
     the module constants ``BETA1``, ``BETA2`` and ``EPS``. The module constant
     ``CHUNK`` only sets how many elements each block of the walk covers, and
@@ -130,5 +129,6 @@ class Adam:
         else:
             walk(blocks)
         for p, new in zip(params.values(), news):
+            new.flags.writeable = False
             p.data = new
             p.grad = None

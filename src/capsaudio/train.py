@@ -230,7 +230,8 @@ def load_blocks(model, blocks: dict[str, np.ndarray]) -> None:
     model_blocks; other blocks are ignored."""
     model.set({name: Tensor(blocks[name], requires_grad=True)
                for name in model.params()})
-    model.set({name: blocks[f"state.{name}"].copy() for name in model.state()})
+    model.set({name: blocks[f"state.{name}"] for name in model.state()})
+    model.seal()
 
 
 def load_trained(path) -> TrainedModel:
@@ -300,7 +301,6 @@ def train(cfg: RunConfig, train_set: ArrayDataset,
     trained = TrainedModel(model)
     metrics = Metrics()
 
-    # Adam.step and BatchNorm replace arrays, never write into them.
     best_snap = model_blocks(model)
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()

@@ -7,7 +7,7 @@ from capsaudio.analysis import (AugmentSpec, augment, capsule_scatter,
                                 export_transfer_features, fit_pca, write_scatter)
 from capsaudio.audio import AudioClip, load_wav
 from capsaudio.config import RunConfig
-from capsaudio.errors import ConfigError, ShapeError
+from capsaudio.errors import ConfigError, FormatError
 from capsaudio.features import ScalerParams, read_cache
 from capsaudio.manifest import load_manifest, materialize
 from capsaudio.synthdata import make_digit_dataset
@@ -263,7 +263,8 @@ def test_transfer_export_dim_collision(digit_run, tmp_path):
     good = trained.scaler
     trained.scaler = ScalerParams(np.zeros(61), np.ones(61))
     try:
-        with pytest.raises(ShapeError, match="60 dims, scaler has 61"):
+        with pytest.raises(FormatError, match=r"^test clip \S+ has 60 feature dims, "
+                           "but the scaler from the checkpoint has 61$"):
             export_transfer_features(trained, man, data_dir, str(tmp_path / "bad"))
     finally:
         trained.scaler = good

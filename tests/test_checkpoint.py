@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from capsaudio import checkpoint
+from capsaudio.autodiff import Graph
 from capsaudio.checkpoint import load_checkpoint, save_checkpoint
 from capsaudio.config import RunConfig, config_to_text
 from capsaudio.errors import FormatError
 from capsaudio.features import ScalerParams
 from capsaudio.layers import Module, glorot
 from capsaudio.models import build_model
+from capsaudio.optim import Adam
 from capsaudio.train import evaluate, load_blocks, load_trained, model_blocks, train
 from test_train import separable_dataset, tiny_cfg
 
@@ -258,7 +260,8 @@ def test_load_blocks_restores_another_seed_bit_exactly(model, decoder):
         assert target.params()[name].requires_grad
     for name, arr in source.state().items():
         assert target.state()[name].tobytes() == arr.tobytes()
-        assert target.state()[name] is not arr  # copied, not shared
+        assert target.state()[name] is arr  # shared, not copied
+        assert not arr.flags.writeable
 
 
 def test_load_blocks_missing_block_raises():
@@ -303,6 +306,31 @@ def _trained_checkpoint(tmp_path, model, **kw):
     path = tmp_path / "m.cpsn"
     trained.save(path)
     return trained, path, ds
+
+
+def _assert_read_only(model):
+    arrays = {**{name: t.data for name, t in model.params().items()}, **model.state()}
+    assert arrays
+    for arr in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+@pytest.mark.parametrize("model, decoder", [("caps", False), ("caps", True),
+                                            ("lstm", False), ("att", False)])
+def test_parameters_and_state_cannot_be_written_in_place(tmp_path, model, decoder):
+    cfg = tiny_cfg(model=model, use_decoder=decoder)
+    net = build_model(cfg, 4, 2, np.random.default_rng(0))
+    _assert_read_only(net)
+    ds = separable_dataset()
+    with Graph() as g:  # a training-mode BN forward, then an Adam step
+        out = net.forward(ds.X[:4], training=True, rng=None, targets=ds.Y[:4])
+    g.backward(out.loss)
+    Adam(cfg.lr).step(net.params())
+    _assert_read_only(net)
+    trained, path, _ = _trained_checkpoint(tmp_path, model, use_decoder=decoder)
+    _assert_read_only(trained.model)
+    _assert_read_only(load_trained(path).model)
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -396,10 +424,10 @@ def test_placeholders_are_views_and_load_trained_replaces_every_one(tmp_path, mo
         if name.endswith(("W", "Wx", "Wh", "v")):  # Glorot-drawn: a placeholder
             assert not t.data.flags.writeable and not any(t.data.strides)
         else:  # fixed init (BN gamma/beta, biases): a real array
-            assert t.data.flags.writeable and t.data.flags.owndata
+            assert not t.data.flags.writeable and t.data.flags.owndata
     _, path, _ = _trained_checkpoint(tmp_path, model, use_decoder=decoder)
     loaded = load_trained(path)
     for t in loaded.model.params().values():
-        assert t.data.flags.writeable and t.data.flags.owndata
+        assert not t.data.flags.writeable and t.data.flags.owndata
     for arr in loaded.model.state().values():
-        assert arr.flags.writeable
+        assert not arr.flags.writeable

@@ -134,7 +134,7 @@ def check_against_reference(rng, steps=5):
             g = grads[k] if grads[k] is not None else np.zeros(shapes[k])
             ref[k] = reference_step(*ref[k], g, t, lr=0.01)
             np.testing.assert_array_equal(p.data, ref[k][0])
-            assert p.data.flags.c_contiguous
+            assert p.data.flags.c_contiguous and not p.data.flags.writeable
             assert not np.shares_memory(p.data, old[k])
             assert p.grad is None
 
